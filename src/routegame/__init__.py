@@ -35,6 +35,7 @@ from .equilibrium import (
 )
 from .model import (
     EPS,
+    ConvergenceError,
     CostFunction,
     DomainError,
     InformationStructure,
@@ -50,14 +51,21 @@ from .model import (
     tau_bounds,
     validate_scenario,
 )
-from .oracle import (
-    ConvergenceError,
-    GridSpec,
-    best_response_equilibrium,
-    grid_search_design,
-)
 
 __version__ = "0.1.0"
+
+_ORACLE_NAMES = ("GridSpec", "best_response_equilibrium", "grid_search_design")
+
+
+def __getattr__(name: str) -> object:
+    """Import the numpy-backed oracle on first use of one of its names."""
+    if name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+
+    value = globals()[name] = getattr(oracle, name)
+    return value
+
 
 __all__ = [
     "EPS",

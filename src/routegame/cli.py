@@ -1,9 +1,11 @@
 """Batch front-end: validate configs, solve, design, sweep, brute-force.
 
-Exit codes: 0 success, 1 domain error (invalid scenario or infeasible
-inputs), 2 usage or parse error.  Data outputs are byte-stable across
-runs: numbers use 12 significant digits and carry no timestamps; sweep
-metadata goes to a JSON sidecar next to the CSV.
+Exit codes: 0 success, 1 domain error (invalid scenario, infeasible
+inputs, oracle non-convergence, or an ``ArithmeticError`` from a solver's
+internal consistency check on a valid scenario), 2 usage or parse error.
+Data outputs are byte-stable across runs: numbers use 12 significant
+digits and carry no timestamps; sweep metadata goes to a JSON sidecar
+next to the CSV.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from . import __version__
 from .design import RegimeError, optimal_design
 from .equilibrium import average_spillover, solve_equilibrium
 from .model import (
+    ConvergenceError,
     DomainError,
     InformationStructure,
     InvalidScenarioError,
@@ -28,7 +31,6 @@ from .model import (
     load_scenario,
     validate_scenario,
 )
-from .oracle import ConvergenceError, GridSpec, grid_search_design
 
 AXIS_FIELDS = {"lambda": "lambda_", "tau": "tau", "p": "p"}
 OUTPUT_GROUPS = ("pi_star", "flows", "loss", "costs")
@@ -101,18 +103,14 @@ def _emit(record: dict[str, object], fmt: str) -> None:
         _print_json(record)
 
 
-def _load(path: str) -> NetworkScenario:
-    return load_scenario(path)
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
-    report = validate_scenario(_load(args.config))
+    report = validate_scenario(load_scenario(args.config))
     print(report)
     return 0 if report.ok else 1
 
 
 def _cmd_equilibrium(args: argparse.Namespace) -> int:
-    scenario = _load(args.config)
+    scenario = load_scenario(args.config)
     pi = InformationStructure(args.pi_aa, args.pi_nn)
     outcome = solve_equilibrium(scenario, pi)
     _emit(outcome.to_record(), args.format)
@@ -120,7 +118,7 @@ def _cmd_equilibrium(args: argparse.Namespace) -> int:
 
 
 def _cmd_design(args: argparse.Namespace) -> int:
-    solution = optimal_design(_load(args.config))
+    solution = optimal_design(load_scenario(args.config))
     _emit(solution.to_record(), args.format)
     return 0
 
@@ -223,7 +221,7 @@ def _write_sidecar(request: SweepRequest, out_path: str) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    scenario = _load(args.config)
+    scenario = load_scenario(args.config)
     try:
         request = SweepRequest(
             scenario=scenario,
@@ -244,7 +242,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    scenario = _load(args.config)
+    from .oracle import GridSpec, grid_search_design
+
+    scenario = load_scenario(args.config)
     spec = GridSpec(steps_pi=args.grid, tol=args.tol)
     best_pi, best_loss = grid_search_design(scenario, spec, trace_path=args.trace)
     solution = optimal_design(scenario)
@@ -314,7 +314,9 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, InvalidScenarioError, RegimeError, ConvergenceError) as exc:
+    except (
+        DomainError, InvalidScenarioError, RegimeError, ConvergenceError, ArithmeticError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

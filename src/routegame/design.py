@@ -200,7 +200,7 @@ def optimal_design(s: NetworkScenario) -> DesignSolution:
 
     outcome = solve_equilibrium(s, pi_star)
     realized = average_spillover(s, outcome)
-    if abs(realized - loss) > 1e-9:
+    if abs(realized - loss) > EPS * s.demand:
         raise ArithmeticError(
             f"closed-form loss {loss!r} disagrees with realized spillover {realized!r}"
         )

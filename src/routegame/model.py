@@ -54,6 +54,10 @@ class InvalidScenarioError(ValueError):
         super().__init__("invalid scenario: " + "; ".join(report.violations))
 
 
+class ConvergenceError(RuntimeError):
+    """The dynamics ran out of iterations or restarts disagreed."""
+
+
 @dataclass(frozen=True)
 class CostFunction:
     """Affine travel-time function ``slope * flow + intercept``."""

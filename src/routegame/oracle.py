@@ -17,6 +17,7 @@ import numpy as np
 
 from .equilibrium import posterior_beliefs
 from .model import (
+    ConvergenceError,
     DomainError,
     InformationStructure,
     NetworkScenario,
@@ -25,10 +26,6 @@ from .model import (
 )
 
 ITERATION_CAP = 1_000_000
-
-
-class ConvergenceError(RuntimeError):
-    """The dynamics ran out of iterations or restarts disagreed."""
 
 
 @dataclass(frozen=True)

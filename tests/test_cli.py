@@ -95,6 +95,16 @@ class TestDesignCommand:
         assert record["regime"] == "full_disclosure"
         assert record["pi_a_a"] == 1
 
+    def test_internal_check_failure_is_domain_error(self, tmp_path):
+        # lambda_low == lambda_high at p = 1: the scenario validates, the design cannot
+        path = tmp_path / "p1.cfg"
+        path.write_text(CONFIG_TEXT.replace("p = 0.3", "p = 1.0"))
+        assert run_cli("validate", str(path)).returncode == 0
+        result = run_cli("design", str(path))
+        assert result.returncode == 1
+        assert result.stderr.startswith("error:")
+        assert "Traceback" not in result.stderr
+
     def test_csv_format(self, config):
         result = run_cli("design", str(config), "--format", "csv")
         rows = list(csv.reader(result.stdout.splitlines()))
@@ -203,6 +213,56 @@ class TestOracleCommand:
         trace = tmp_path / "trace.csv"
         run_cli("oracle", str(config), "--grid", "11", "--trace", str(trace))
         assert trace.read_text().startswith("pi_a_a,pi_n_n,g_value")
+
+
+ALL_NAMES = [
+    "EPS", "BeliefSystem", "Branch", "ConvergenceError", "CostFunction", "DesignSolution",
+    "DomainError", "EquilibriumOutcome", "GridSpec", "InfeasibleStrategyError",
+    "InformationStructure", "InvalidScenarioError", "NetworkScenario", "Regime",
+    "RegimeError", "ScenarioParseError", "StrategyProfile", "Thresholds", "ValidationReport",
+    "VerificationReport", "average_spillover", "best_response_equilibrium", "format_scenario",
+    "grid_search_design", "lambda_thresholds", "load_scenario", "loss_curve", "mean_slope",
+    "optimal_design", "p_bar", "parse_scenario", "partition_value", "population_costs",
+    "posterior_beliefs", "recover_strategies", "route_cost", "solve_equilibrium",
+    "spillover_loss", "tau_bounds", "validate_scenario", "verify_wardrop",
+]
+
+
+class TestLazyOracleImport:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("-c", "import routegame"),
+            ("-m", "routegame", "validate", "{cfg}"),
+            ("-m", "routegame", "design", "{cfg}"),
+            ("-m", "routegame", "equilibrium", "{cfg}", "--pi-aa", "1", "--pi-nn", "1"),
+        ],
+    )
+    def test_numpy_not_imported(self, config, args):
+        # -X importtime lists every module the process imports on stderr
+        result = subprocess.run(
+            [sys.executable, "-X", "importtime", *(a.format(cfg=config) for a in args)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}
+        assert "routegame" in imported
+        assert not {m for m in imported if m.split(".")[0] == "numpy"}
+
+    def test_oracle_names_resolve(self):
+        import routegame
+        import routegame.oracle as oracle
+
+        assert routegame.GridSpec is oracle.GridSpec
+        assert routegame.best_response_equilibrium is oracle.best_response_equilibrium
+        assert routegame.grid_search_design is oracle.grid_search_design
+        assert routegame.ConvergenceError is oracle.ConvergenceError
+
+    def test_all_unchanged(self):
+        import routegame
+
+        assert routegame.__all__ == ALL_NAMES
+        assert all(hasattr(routegame, name) for name in ALL_NAMES)
 
 
 class TestUsageErrors:

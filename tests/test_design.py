@@ -133,6 +133,21 @@ class TestOptimalDesign:
             sol = optimal_design(s)
             assert sol.loss == pytest.approx(average_spillover(s, sol.outcome), abs=1e-9)
 
+    @pytest.mark.parametrize("k", [1e6, 3e6])
+    @pytest.mark.parametrize("lam", [0.05, 0.2, 0.5])
+    def test_large_demand_solves(self, k, lam):
+        # Flows scaled by k, slopes by 1/k: costs, regime and pi_star are unchanged
+        # and the loss scales by k, so rounding in it grows with demand.
+        g = golden_scenario(lambda_=lam)
+        s = replace(
+            g, alpha1_a=g.alpha1_a / k, alpha1_n=g.alpha1_n / k, alpha2=g.alpha2 / k,
+            demand=g.demand * k, tau=g.tau * k,
+        )
+        sol, base = optimal_design(s), optimal_design(g)
+        assert sol.regime is base.regime
+        assert sol.loss == pytest.approx(average_spillover(s, sol.outcome), rel=1e-12)
+        assert sol.loss == pytest.approx(k * base.loss, rel=1e-9)
+
     def test_nominal_signal_truthful_in_persuasion_regimes(self):
         rng = np.random.default_rng(19)
         for _ in range(40):
