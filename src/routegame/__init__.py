@@ -13,7 +13,6 @@ from .design import (
     RegimeError,
     Thresholds,
     lambda_thresholds,
-    loss_curve,
     optimal_design,
     p_bar,
 )
@@ -27,7 +26,6 @@ from .equilibrium import (
     average_spillover,
     mean_slope,
     partition_value,
-    population_costs,
     posterior_beliefs,
     recover_strategies,
     solve_equilibrium,
@@ -36,7 +34,6 @@ from .equilibrium import (
 from .model import (
     EPS,
     ConvergenceError,
-    CostFunction,
     DomainError,
     InformationStructure,
     InvalidScenarioError,
@@ -46,8 +43,6 @@ from .model import (
     format_scenario,
     load_scenario,
     parse_scenario,
-    route_cost,
-    spillover_loss,
     tau_bounds,
     validate_scenario,
 )
@@ -72,7 +67,6 @@ __all__ = [
     "BeliefSystem",
     "Branch",
     "ConvergenceError",
-    "CostFunction",
     "DesignSolution",
     "DomainError",
     "EquilibriumOutcome",
@@ -94,18 +88,14 @@ __all__ = [
     "grid_search_design",
     "lambda_thresholds",
     "load_scenario",
-    "loss_curve",
     "mean_slope",
     "optimal_design",
     "p_bar",
     "parse_scenario",
     "partition_value",
-    "population_costs",
     "posterior_beliefs",
     "recover_strategies",
-    "route_cost",
     "solve_equilibrium",
-    "spillover_loss",
     "tau_bounds",
     "validate_scenario",
     "verify_wardrop",

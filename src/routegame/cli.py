@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__
-from .design import RegimeError, optimal_design
-from .equilibrium import average_spillover, solve_equilibrium
+from .design import optimal_design
+from .equilibrium import _solve, average_spillover, solve_equilibrium
 from .model import (
     ConvergenceError,
     DomainError,
@@ -146,12 +146,12 @@ def _sweep_columns(outputs: frozenset[str], axis: str) -> list[str]:
 def _sweep_row(request: SweepRequest, value: float) -> dict[str, object]:
     scenario = replace(request.scenario, **{AXIS_FIELDS[request.axis]: value})
     row: dict[str, object] = {request.axis: value}
-    report = validate_scenario(scenario)
-    if not report.ok:
-        row["error"] = "; ".join(report.violations)
+    try:
+        solution = optimal_design(scenario)
+    except InvalidScenarioError as exc:
+        row["error"] = "; ".join(exc.report.violations)
         return row
 
-    solution = optimal_design(scenario)
     row["regime"] = solution.regime.value
     outputs = request.outputs
     if "pi_star" in outputs:
@@ -164,8 +164,8 @@ def _sweep_row(request: SweepRequest, value: float) -> dict[str, object]:
         )
     needs_baselines = "loss" in outputs or "costs" in outputs
     if needs_baselines:
-        no_info = solve_equilibrium(scenario, InformationStructure.no_information())
-        full_info = solve_equilibrium(scenario, InformationStructure.full_revelation())
+        no_info = _solve(scenario, InformationStructure.no_information())
+        full_info = _solve(scenario, InformationStructure.full_revelation())
     if "loss" in outputs:
         row["loss"] = solution.loss
         row["loss_no_info"] = average_spillover(scenario, no_info)
@@ -186,7 +186,7 @@ def run_sweep(request: SweepRequest) -> tuple[list[str], list[dict[str, object]]
     for value in request.axis_values():
         try:
             rows.append(_sweep_row(request, value))
-        except (DomainError, InvalidScenarioError, RegimeError, ArithmeticError) as exc:
+        except (DomainError, ArithmeticError) as exc:
             rows.append({request.axis: value, "error": str(exc)})
     return columns, rows
 
@@ -245,7 +245,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     from .oracle import GridSpec, grid_search_design
 
     scenario = load_scenario(args.config)
-    spec = GridSpec(steps_pi=args.grid, tol=args.tol)
+    try:
+        spec = GridSpec(steps_pi=args.grid, tol=args.tol)
+    except DomainError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     best_pi, best_loss = grid_search_design(scenario, spec, trace_path=args.trace)
     solution = optimal_design(scenario)
     record = {
@@ -314,9 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (
-        DomainError, InvalidScenarioError, RegimeError, ConvergenceError, ArithmeticError
-    ) as exc:
+    except (DomainError, InvalidScenarioError, ConvergenceError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,16 +11,11 @@ structure independent of the fraction above ``lambda_high``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Optional
 
-from .equilibrium import (
-    EquilibriumOutcome,
-    average_spillover,
-    mean_slope,
-    solve_equilibrium,
-)
+from .equilibrium import EquilibriumOutcome, _solve, average_spillover, mean_slope
 from .model import (
     EPS,
     DomainError,
@@ -90,11 +85,6 @@ def p_bar(s: NetworkScenario) -> float:
     return inner / (s.alpha1_a - s.alpha1_n)
 
 
-def _no_persuasion(s: NetworkScenario, pb: float) -> bool:
-    # Ties classify as the no-persuasion regime.
-    return s.p <= pb + EPS
-
-
 def lambda_thresholds(s: NetworkScenario) -> tuple[float, float]:
     """Informed-fraction regime boundaries ``(lambda_low, lambda_high)``.
 
@@ -102,18 +92,27 @@ def lambda_thresholds(s: NetworkScenario) -> tuple[float, float]:
     thresholds satisfy ``0 < lambda_low < lambda_high < 1``.
     """
     require_valid(s)
-    pb = p_bar(s)
-    if _no_persuasion(s, pb):
+    t = _thresholds(s)
+    if t.lambda_low is None:
         raise RegimeError(
-            f"lambda thresholds are undefined for p={s.p!r} <= p_bar={pb:.12g}"
+            f"lambda thresholds are undefined for p={s.p!r} <= p_bar={t.p_bar:.12g}"
         )
+    return t.lambda_low, t.lambda_high
+
+
+def _thresholds(s: NetworkScenario) -> Thresholds:
+    """Regime boundaries of a scenario the caller has validated."""
+    pb = p_bar(s)
+    # Ties classify as the no-persuasion regime.
+    if s.p <= pb + EPS:
+        return Thresholds(p_bar=pb, lambda_low=None, lambda_high=None)
     lam_low = _lambda_low(s)
     lam_high = _lambda_high(s)
     if not (-EPS < lam_low < lam_high < 1.0 + EPS):
         raise ArithmeticError(
             f"threshold ordering violated: lambda_low={lam_low!r}, lambda_high={lam_high!r}"
         )
-    return lam_low, lam_high
+    return Thresholds(p_bar=pb, lambda_low=lam_low, lambda_high=lam_high)
 
 
 def _lambda_low(s: NetworkScenario) -> float:
@@ -174,31 +173,26 @@ def optimal_design(s: NetworkScenario) -> DesignSolution:
     cross-checked against the spillover recomputed from those flows.
     """
     require_valid(s)
-    pb = p_bar(s)
-
-    if _no_persuasion(s, pb):
+    thresholds = _thresholds(s)
+    lam = s.lambda_
+    if thresholds.lambda_low is None:
         regime = Regime.NO_PERSUASION
         pi_star = InformationStructure.no_information()
         loss = 0.0
-        thresholds = Thresholds(p_bar=pb, lambda_low=None, lambda_high=None)
+    elif lam < thresholds.lambda_low:
+        regime = Regime.FULL_DISCLOSURE
+        pi_star = InformationStructure.full_revelation()
+        loss = _full_disclosure_loss(s, lam)
+    elif lam < thresholds.lambda_high:
+        regime = Regime.PARTIAL_DISCLOSURE
+        pi_star = InformationStructure(_clip_probability(_partial_pi_a_given_a(s, lam)), 1.0)
+        loss = _partial_loss(s)
     else:
-        lam_low, lam_high = lambda_thresholds(s)
-        thresholds = Thresholds(p_bar=pb, lambda_low=lam_low, lambda_high=lam_high)
-        lam = s.lambda_
-        if lam < lam_low:
-            regime = Regime.FULL_DISCLOSURE
-            pi_star = InformationStructure.full_revelation()
-            loss = _full_disclosure_loss(s, lam)
-        elif lam < lam_high:
-            regime = Regime.PARTIAL_DISCLOSURE
-            pi_star = InformationStructure(_clip_probability(_partial_pi_a_given_a(s, lam)), 1.0)
-            loss = _partial_loss(s)
-        else:
-            regime = Regime.SATURATED_DISCLOSURE
-            pi_star = InformationStructure(_clip_probability(_saturated_pi_a_given_a(s)), 1.0)
-            loss = _partial_loss(s)
+        regime = Regime.SATURATED_DISCLOSURE
+        pi_star = InformationStructure(_clip_probability(_saturated_pi_a_given_a(s)), 1.0)
+        loss = _partial_loss(s)
 
-    outcome = solve_equilibrium(s, pi_star)
+    outcome = _solve(s, pi_star)
     realized = average_spillover(s, outcome)
     if abs(realized - loss) > EPS * s.demand:
         raise ArithmeticError(
@@ -207,15 +201,3 @@ def optimal_design(s: NetworkScenario) -> DesignSolution:
     return DesignSolution(
         regime=regime, pi_star=pi_star, outcome=outcome, loss=loss, thresholds=thresholds
     )
-
-
-def loss_curve(
-    s: NetworkScenario, lambdas: Iterable[float]
-) -> list[tuple[float, float, Regime]]:
-    """Optimal loss and regime for each informed fraction, in input order."""
-    require_valid(s)
-    out = []
-    for lam in lambdas:
-        sol = optimal_design(replace(s, lambda_=lam))
-        out.append((lam, sol.loss, sol.regime))
-    return out

@@ -168,10 +168,14 @@ def mean_slope(belief_of_a: float, s: NetworkScenario) -> float:
     return s.alpha1_a * belief_of_a + s.alpha1_n * (1.0 - belief_of_a)
 
 
-def _partition_from_beliefs(s: NetworkScenario, beliefs: BeliefSystem) -> float:
+def _partition(s: NetworkScenario, beta_n, beta_a):
+    """Partition value from the two incident posteriors.
+
+    Pure arithmetic, so it serves scalars and numpy arrays alike.
+    """
     spread = s.cost_spread
-    d_n = mean_slope(beliefs.beta_n_of_a, s) + s.alpha2
-    d_a = mean_slope(beliefs.beta_a_of_a, s) + s.alpha2
+    d_n = s.alpha1_a * beta_n + s.alpha1_n * (1.0 - beta_n) + s.alpha2
+    d_a = s.alpha1_a * beta_a + s.alpha1_n * (1.0 - beta_a) + s.alpha2
     return spread / (d_n * s.demand) - spread / (d_a * s.demand)
 
 
@@ -182,7 +186,8 @@ def partition_value(s: NetworkScenario, pi: InformationStructure) -> float:
     equilibrium branch; it is nonnegative because the incident posterior
     is higher after the incident signal.
     """
-    return _partition_from_beliefs(s, posterior_beliefs(s, pi))
+    beliefs = posterior_beliefs(s, pi)
+    return _partition(s, beliefs.beta_n_of_a, beliefs.beta_a_of_a)
 
 
 def _checked_flow(f: float, demand: float) -> float:
@@ -199,8 +204,13 @@ def solve_equilibrium(s: NetworkScenario, pi: InformationStructure) -> Equilibri
     flows there, so only the label is affected.
     """
     require_valid(s)
+    return _solve(s, pi)
+
+
+def _solve(s: NetworkScenario, pi: InformationStructure) -> EquilibriumOutcome:
+    """:func:`solve_equilibrium` for a scenario the caller has validated."""
     beliefs = posterior_beliefs(s, pi)
-    g = _partition_from_beliefs(s, beliefs)
+    g = _partition(s, beliefs.beta_n_of_a, beliefs.beta_a_of_a)
     lam, demand, spread = s.lambda_, s.demand, s.cost_spread
 
     if g >= lam:
@@ -216,7 +226,7 @@ def solve_equilibrium(s: NetworkScenario, pi: InformationStructure) -> Equilibri
 
     f2_n = _checked_flow(f2_n, demand)
     f2_a = _checked_flow(f2_a, demand)
-    cost1, cost2, cost_avg = population_costs(s, pi, (f2_n, f2_a))
+    cost1, cost2, cost_avg = _population_costs(s, beliefs, f2_n, f2_a)
     return EquilibriumOutcome(
         f2_given_n=f2_n,
         f2_given_a=f2_a,
@@ -291,8 +301,8 @@ def _signal_costs(
     return c1_n, c1_a, c2_n, c2_a
 
 
-def population_costs(
-    s: NetworkScenario, pi: InformationStructure, flows: Sequence[float]
+def _population_costs(
+    s: NetworkScenario, beliefs: BeliefSystem, f2_n: float, f2_a: float
 ) -> tuple[float, float, float]:
     """Average experienced cost of each population and their blend.
 
@@ -301,9 +311,7 @@ def population_costs(
     the same expected cost, so the decomposition does not matter.  When a
     population is empty its cost is defined as the other population's.
     """
-    f2_n, f2_a = float(flows[0]), float(flows[1])
     profile = _recover(s, f2_n, f2_a)
-    beliefs = posterior_beliefs(s, pi)
     c1_n, c1_a, c2_n, c2_a = _signal_costs(s, beliefs, f2_n, f2_a)
     pr_n, pr_a = beliefs.pr_n, beliefs.pr_a
 

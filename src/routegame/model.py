@@ -1,4 +1,4 @@
-"""Domain types, parameter validation, and primitive cost/loss functions.
+"""Domain types, parameter validation, and scenario documents.
 
 The network is a single origin-destination pair served by two parallel
 routes.  Route 1 is the short route but is incident-prone: its congestion
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
 
 EPS = 1e-9
 """Absolute tolerance for comparisons of normalized quantities.
@@ -59,23 +58,6 @@ class ConvergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class CostFunction:
-    """Affine travel-time function ``slope * flow + intercept``."""
-
-    slope: float
-    intercept: float
-
-    def __post_init__(self) -> None:
-        if not self.slope > 0:
-            raise DomainError(f"cost slope must be positive, got {self.slope!r}")
-        if not self.intercept > 0:
-            raise DomainError(f"cost intercept must be positive, got {self.intercept!r}")
-
-    def __call__(self, flow: float) -> float:
-        return self.slope * flow + self.intercept
-
-
-@dataclass(frozen=True)
 class NetworkScenario:
     """All exogenous parameters of the two-route signaling game.
 
@@ -113,18 +95,6 @@ class NetworkScenario:
     def cost_spread(self) -> float:
         """``alpha2 * D + b2 - b1``, the recurring flow-formula numerator."""
         return self.alpha2 * self.demand + self.b2 - self.b1
-
-    def route1_cost(self, state: str) -> CostFunction:
-        """Cost function of route 1 in state ``"a"`` or ``"n"``."""
-        if state == "a":
-            return CostFunction(self.alpha1_a, self.b1)
-        if state == "n":
-            return CostFunction(self.alpha1_n, self.b1)
-        raise DomainError(f"unknown state {state!r}, expected 'a' or 'n'")
-
-    @property
-    def route2_cost(self) -> CostFunction:
-        return CostFunction(self.alpha2, self.b2)
 
     def to_dict(self) -> dict[str, float]:
         return asdict(self)
@@ -236,33 +206,6 @@ def require_valid(s: NetworkScenario) -> None:
     report = validate_scenario(s)
     if not report.ok:
         raise InvalidScenarioError(report)
-
-
-def route_cost(cf: CostFunction, flow: float) -> float:
-    """Evaluate a route cost function at a nonnegative flow."""
-    if flow < 0:
-        raise DomainError(f"flow must be nonnegative, got {flow!r}")
-    return cf(flow)
-
-
-def spillover_loss(marginals: Sequence[float], flows2: Sequence[float], tau: float) -> float:
-    """Average route-2 flow in excess of ``tau``, weighted by signal probabilities.
-
-    ``marginals`` and ``flows2`` are aligned per-signal sequences; the
-    marginals must form a probability vector.
-    """
-    if len(marginals) != len(flows2):
-        raise DomainError(
-            f"marginals and flows must align, got lengths {len(marginals)} and {len(flows2)}"
-        )
-    total = 0.0
-    for pr in marginals:
-        if not -EPS <= pr <= 1.0 + EPS:
-            raise DomainError(f"signal probability out of [0, 1]: {pr!r}")
-        total += pr
-    if abs(total - 1.0) > EPS:
-        raise DomainError(f"signal probabilities must sum to 1, got {total!r}")
-    return sum(pr * max(f - tau, 0.0) for pr, f in zip(marginals, flows2))
 
 
 # --- scenario documents ----------------------------------------------------

@@ -15,14 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .equilibrium import posterior_beliefs
+from .equilibrium import _partition, posterior_beliefs
 from .model import (
     ConvergenceError,
     DomainError,
     InformationStructure,
     NetworkScenario,
     require_valid,
-    spillover_loss,
 )
 
 ITERATION_CAP = 1_000_000
@@ -237,10 +236,7 @@ def grid_search_design(
     losses = pr_a * np.maximum(f2a - s.tau, 0.0) + pr_n * np.maximum(f2n - s.tau, 0.0)
 
     if trace_path is not None:
-        spread = s.cost_spread
-        d_n = s.alpha1_a * beta_n + s.alpha1_n * (1.0 - beta_n) + s.alpha2
-        d_a = s.alpha1_a * beta_a + s.alpha1_n * (1.0 - beta_a) + s.alpha2
-        g = spread / (d_n * s.demand) - spread / (d_a * s.demand)
+        g = _partition(s, beta_n, beta_a)
         lines = ["pi_a_a,pi_n_n,g_value,f2_n,f2_a,loss"]
         for i in range(pa.shape[0]):
             lines.append(
@@ -252,9 +248,4 @@ def grid_search_design(
     ties = np.flatnonzero(losses == losses.min())
     best = ties[np.lexsort((pn[ties], pa[ties]))[0]]
     best_pi = InformationStructure(float(pa[best]), float(pn[best]))
-    best_loss = spillover_loss(
-        (float(pr_a[best]), float(pr_n[best])),
-        (float(f2a[best]), float(f2n[best])),
-        s.tau,
-    )
-    return best_pi, best_loss
+    return best_pi, float(losses[best])

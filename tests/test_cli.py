@@ -1,15 +1,36 @@
 import csv
+import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from conftest import golden_scenario
+from routegame import cli, equilibrium, model
 from routegame import format_scenario, optimal_design, solve_equilibrium, InformationStructure
 
 CONFIG_TEXT = format_scenario(golden_scenario())
+DEMO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "demo_network.cfg"
+
+# sha256 of the CSV and of its .meta.json sidecar for a 101-point sweep of the
+# demo config with all outputs; the tau range includes invalid points.
+DEMO_SWEEP_DIGESTS = {
+    ("lambda", "0", "1"): (
+        "43140c5ba869df3b72f181c4adebc0b62065156a0720e0549a9b9d29db04a6ae",
+        "1c92ca346b710ac71898857b13248de62bbcd48576d5a2af9670aa02869ffc88",
+    ),
+    ("p", "0", "0.999"): (
+        "97b7bb2e692d5da0640dc12f44f91dc32e31bc31ae1d6db938f6ac0b0b751037",
+        "fc03185a336743a0018b835c7b848ba1e50da493029048bd818bfa86e2c29bed",
+    ),
+    ("tau", "1", "5"): (
+        "06bfd191f1a49ccffa159e42709c5beaaf51bba97c28db99d2966ca5b3b54c75",
+        "3ae86dd1cd7fcf8a09012b122b06ad2b33cc7c06321d31b65da43f065bd6b578",
+    ),
+}
 
 
 def run_cli(*args: str, cwd=None) -> subprocess.CompletedProcess:
@@ -190,6 +211,43 @@ class TestSweepCommand:
         )
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("axis, start, stop", sorted(DEMO_SWEEP_DIGESTS))
+    def test_demo_sweeps_are_byte_pinned(self, tmp_path, axis, start, stop):
+        out = tmp_path / f"{axis}.csv"
+        argv = ["sweep", str(DEMO_CONFIG), "--axis", axis, "--start", start, "--stop", stop,
+                "--count", "101", "--out", str(out)]
+        assert cli.main(argv) == 0
+        digests = tuple(
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (out, tmp_path / f"{axis}.csv.meta.json")
+        )
+        assert digests == DEMO_SWEEP_DIGESTS[axis, start, stop]
+
+    def test_one_validation_per_point(self, tmp_path, monkeypatch):
+        calls = Counter()
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        validate = counted(model, "validate_scenario")
+        monkeypatch.setattr(model, "validate_scenario", validate)
+        monkeypatch.setattr(cli, "validate_scenario", validate)
+        monkeypatch.setattr(
+            equilibrium, "posterior_beliefs", counted(equilibrium, "posterior_beliefs")
+        )
+        argv = ["sweep", str(DEMO_CONFIG), "--axis", "lambda", "--start", "0", "--stop", "1",
+                "--count", "101", "--out", str(tmp_path / "sweep.csv")]
+        assert cli.main(argv) == 0
+        # one validation per point; one Bayes update per solved equilibrium:
+        # the optimum and the two baselines
+        assert calls == {"validate_scenario": 101, "posterior_beliefs": 303}
+
     def test_stdout_when_no_out_path(self, config):
         result = run_cli(
             "sweep", str(config), "--axis", "lambda", "--start", "0.2", "--stop", "0.2",
@@ -209,6 +267,12 @@ class TestOracleCommand:
         assert abs(record["closed_form_gap"]) <= 2.0 * (1.0 / 40.0) * 10.0
         assert record["pi_n_n"] >= 1.0 - 1.0 / 40.0 - 1e-12
 
+    @pytest.mark.parametrize("flag", [("--grid", "1"), ("--tol", "0")])
+    def test_bad_grid_is_usage_error(self, config, flag):
+        result = run_cli("oracle", str(config), *flag)
+        assert result.returncode == 2
+        assert result.stderr.startswith("usage error:")
+
     def test_trace_file(self, config, tmp_path):
         trace = tmp_path / "trace.csv"
         run_cli("oracle", str(config), "--grid", "11", "--trace", str(trace))
@@ -216,15 +280,14 @@ class TestOracleCommand:
 
 
 ALL_NAMES = [
-    "EPS", "BeliefSystem", "Branch", "ConvergenceError", "CostFunction", "DesignSolution",
-    "DomainError", "EquilibriumOutcome", "GridSpec", "InfeasibleStrategyError",
-    "InformationStructure", "InvalidScenarioError", "NetworkScenario", "Regime",
-    "RegimeError", "ScenarioParseError", "StrategyProfile", "Thresholds", "ValidationReport",
-    "VerificationReport", "average_spillover", "best_response_equilibrium", "format_scenario",
-    "grid_search_design", "lambda_thresholds", "load_scenario", "loss_curve", "mean_slope",
-    "optimal_design", "p_bar", "parse_scenario", "partition_value", "population_costs",
-    "posterior_beliefs", "recover_strategies", "route_cost", "solve_equilibrium",
-    "spillover_loss", "tau_bounds", "validate_scenario", "verify_wardrop",
+    "EPS", "BeliefSystem", "Branch", "ConvergenceError", "DesignSolution", "DomainError",
+    "EquilibriumOutcome", "GridSpec", "InfeasibleStrategyError", "InformationStructure",
+    "InvalidScenarioError", "NetworkScenario", "Regime", "RegimeError", "ScenarioParseError",
+    "StrategyProfile", "Thresholds", "ValidationReport", "VerificationReport",
+    "average_spillover", "best_response_equilibrium", "format_scenario", "grid_search_design",
+    "lambda_thresholds", "load_scenario", "mean_slope", "optimal_design", "p_bar",
+    "parse_scenario", "partition_value", "posterior_beliefs", "recover_strategies",
+    "solve_equilibrium", "tau_bounds", "validate_scenario", "verify_wardrop",
 ]
 
 

@@ -11,7 +11,6 @@ from routegame import (
     RegimeError,
     average_spillover,
     lambda_thresholds,
-    loss_curve,
     optimal_design,
     p_bar,
     partition_value,
@@ -195,11 +194,14 @@ class TestRegimeContinuity:
             assert below.loss == pytest.approx(at.loss, abs=1e-6)
 
 
+def _optimal_losses(s, lambdas):
+    return [optimal_design(replace(s, lambda_=float(lam))).loss for lam in lambdas]
+
+
 class TestLossCurve:
     def test_golden_anchor_points(self, ex1):
         lam_low, _ = lambda_thresholds(ex1)
-        curve = loss_curve(ex1, [0.0, lam_low, 1.0])
-        losses = [loss for _, loss, _ in curve]
+        losses = _optimal_losses(ex1, [0.0, lam_low, 1.0])
         assert losses[0] == pytest.approx(5.0 / 9.0, abs=1e-12)
         assert losses[1] == pytest.approx(0.4, abs=1e-12)
         assert losses[2] == pytest.approx(0.4, abs=1e-12)
@@ -207,15 +209,14 @@ class TestLossCurve:
     def test_monotone_then_flat(self, ex1):
         lam_low, _ = lambda_thresholds(ex1)
         lams = np.linspace(0.0, 1.0, 101)
-        curve = loss_curve(ex1, lams)
-        losses = [loss for _, loss, _ in curve]
+        losses = _optimal_losses(ex1, lams)
         assert all(a >= b - 1e-12 for a, b in zip(losses, losses[1:]))
-        flat = [loss for lam, loss, _ in curve if lam >= lam_low]
+        flat = [loss for lam, loss in zip(lams, losses) if lam >= lam_low]
         assert max(flat) - min(flat) <= 1e-12
 
     def test_no_persuasion_curve_is_zero(self):
-        curve = loss_curve(golden_scenario(p=0.05), np.linspace(0.0, 1.0, 11))
-        assert all(loss == 0.0 for _, loss, _ in curve)
+        losses = _optimal_losses(golden_scenario(p=0.05), np.linspace(0.0, 1.0, 11))
+        assert all(loss == 0.0 for loss in losses)
 
     def test_saturated_solutions_identical(self, ex1):
         _, lam_high = lambda_thresholds(ex1)
@@ -225,10 +226,6 @@ class TestLossCurve:
         assert a.outcome.f2_given_n == pytest.approx(b.outcome.f2_given_n, abs=1e-12)
         assert a.outcome.f2_given_a == pytest.approx(b.outcome.f2_given_a, abs=1e-12)
         assert a.loss == b.loss
-
-    def test_preserves_input_order_and_duplicates(self, ex1):
-        curve = loss_curve(ex1, [0.5, 0.5, 0.1])
-        assert [lam for lam, _, _ in curve] == [0.5, 0.5, 0.1]
 
 
 class TestOptimalityAgainstDenseGrid:

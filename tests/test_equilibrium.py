@@ -11,15 +11,12 @@ from routegame import (
     InfeasibleStrategyError,
     InformationStructure,
     InvalidScenarioError,
-    average_spillover,
     best_response_equilibrium,
     mean_slope,
     partition_value,
-    population_costs,
     posterior_beliefs,
     recover_strategies,
     solve_equilibrium,
-    spillover_loss,
     verify_wardrop,
 )
 
@@ -289,11 +286,6 @@ class TestPopulationCosts:
         out = solve_equilibrium(replace(ex1, lambda_=0.1), FULL)
         assert out.cost_pop1 <= out.cost_pop2 + 1e-12
 
-    def test_direct_tuple_api(self, ex1):
-        out = solve_equilibrium(ex1, UNINFORMATIVE)
-        c1, c2, avg = population_costs(ex1, UNINFORMATIVE, (out.f2_given_n, out.f2_given_a))
-        assert (c1, c2, avg) == (out.cost_pop1, out.cost_pop2, out.cost_avg)
-
     def test_empty_population_inherits_cost(self, ex1):
         out = solve_equilibrium(replace(ex1, lambda_=0.0), FULL)
         assert out.cost_pop1 == out.cost_pop2
@@ -325,10 +317,10 @@ class TestVerifyWardrop:
         report = verify_wardrop(s, FULL, (5.0 / 3.0, 5.0))
         assert report.ok
         # per-state costs equalize: nominal 70/3 on both routes, incident 30
-        assert s.route1_cost("n")(s.demand - 5.0 / 3.0) == pytest.approx(70.0 / 3.0)
-        assert s.route2_cost(5.0 / 3.0) == pytest.approx(70.0 / 3.0)
-        assert s.route1_cost("a")(s.demand - 5.0) == pytest.approx(30.0)
-        assert s.route2_cost(5.0) == pytest.approx(30.0)
+        assert s.alpha1_n * (s.demand - 5.0 / 3.0) + s.b1 == pytest.approx(70.0 / 3.0)
+        assert s.alpha2 * (5.0 / 3.0) + s.b2 == pytest.approx(70.0 / 3.0)
+        assert s.alpha1_a * (s.demand - 5.0) + s.b1 == pytest.approx(30.0)
+        assert s.alpha2 * 5.0 + s.b2 == pytest.approx(30.0)
 
     def test_perturbed_flows_flag_violations(self, ex1):
         out = solve_equilibrium(ex1, FULL)
@@ -342,13 +334,3 @@ class TestVerifyWardrop:
         assert not report.feasible
         assert not report.ok
 
-    def test_average_spillover_matches_primitive(self, ex1):
-        out = solve_equilibrium(replace(ex1, lambda_=0.6), InformationStructure(8.0 / 15.0, 1.0))
-        via_outcome = average_spillover(ex1, out)
-        via_primitive = spillover_loss(
-            (out.beliefs.pr_a, out.beliefs.pr_n),
-            (out.f2_given_a, out.f2_given_n),
-            ex1.tau,
-        )
-        assert via_outcome == pytest.approx(via_primitive, abs=1e-15)
-        assert via_outcome == pytest.approx(0.4, abs=1e-12)

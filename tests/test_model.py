@@ -1,18 +1,14 @@
 import math
 
-import numpy as np
 import pytest
 
 from conftest import golden_scenario
 from routegame import (
-    CostFunction,
     DomainError,
     InformationStructure,
     ScenarioParseError,
     format_scenario,
     parse_scenario,
-    route_cost,
-    spillover_loss,
     tau_bounds,
     validate_scenario,
 )
@@ -65,73 +61,6 @@ class TestValidateScenario:
         # be present regardless of what happens to the tau check
         report = validate_scenario(golden_scenario(demand=4.0))
         assert any("demand" in v for v in report.violations)
-
-
-class TestCostFunctions:
-    def test_route2_cost_at_flow_five(self, ex1):
-        assert route_cost(ex1.route2_cost, 5.0) == pytest.approx(30.0)
-
-    def test_route1_incident_cost_at_flow_five(self, ex1):
-        assert route_cost(ex1.route1_cost("a"), 5.0) == pytest.approx(30.0)
-
-    def test_zero_flow_returns_intercept(self):
-        cf = CostFunction(slope=1.7, intercept=12.5)
-        assert route_cost(cf, 0.0) == 12.5
-
-    def test_negative_flow_rejected(self, ex1):
-        with pytest.raises(DomainError):
-            route_cost(ex1.route2_cost, -0.1)
-
-    def test_nonpositive_slope_rejected(self):
-        with pytest.raises(DomainError):
-            CostFunction(slope=0.0, intercept=1.0)
-
-    def test_unknown_state_rejected(self, ex1):
-        with pytest.raises(DomainError):
-            ex1.route1_cost("x")
-
-
-class TestSpilloverLoss:
-    def test_saturated_regime_value(self):
-        # Pr(a)=0.16 sends 5 units to route 2 against a 2.5 threshold
-        assert spillover_loss((0.16, 0.84), (5.0, 2.5), 2.5) == pytest.approx(0.4)
-
-    def test_zero_when_both_below_threshold(self):
-        assert spillover_loss((0.3, 0.7), (2.0, 2.49), 2.5) == 0.0
-
-    def test_degenerate_marginal(self):
-        assert spillover_loss((1.0, 0.0), (3.5, 1.0), 2.5) == pytest.approx(1.0)
-
-    def test_malformed_marginals_rejected(self):
-        with pytest.raises(DomainError):
-            spillover_loss((0.6, 0.6), (1.0, 1.0), 0.5)
-        with pytest.raises(DomainError):
-            spillover_loss((1.2, -0.2), (1.0, 1.0), 0.5)
-        with pytest.raises(DomainError):
-            spillover_loss((0.5, 0.5), (1.0,), 0.5)
-
-    def test_shape_properties(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            pr = rng.uniform(0.0, 1.0)
-            marginals = (pr, 1.0 - pr)
-            flows = tuple(rng.uniform(0.0, 10.0, size=2))
-            tau = rng.uniform(0.0, 10.0)
-            loss = spillover_loss(marginals, flows, tau)
-            assert loss >= 0.0
-            bumped = (flows[0] + 0.5, flows[1])
-            assert spillover_loss(marginals, bumped, tau) >= loss
-            assert spillover_loss(marginals, flows, tau + 0.5) <= loss
-
-    def test_kink_sits_at_threshold(self):
-        # piecewise linear in the flow with the kink exactly at tau
-        tau = 3.0
-        below = spillover_loss((1.0, 0.0), (tau - 1e-9, 0.0), tau)
-        at = spillover_loss((1.0, 0.0), (tau, 0.0), tau)
-        above = spillover_loss((1.0, 0.0), (tau + 1.0, 0.0), tau)
-        assert below == pytest.approx(0.0, abs=1e-12)
-        assert at == 0.0
-        assert above == pytest.approx(1.0)
 
 
 class TestInformationStructure:

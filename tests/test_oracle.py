@@ -1,3 +1,4 @@
+import csv
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,6 @@ from routegame import (
     grid_search_design,
     optimal_design,
     partition_value,
-    posterior_beliefs,
     solve_equilibrium,
     verify_wardrop,
 )
@@ -134,13 +134,13 @@ class TestGridSearchDesign:
         assert float(row[3]) == pytest.approx(out.f2_given_n, abs=1e-6)
         assert float(row[4]) == pytest.approx(out.f2_given_a, abs=1e-6)
 
-    def test_vectorized_posteriors_match_scalar(self, ex1):
-        # the grid engine derives beliefs vectorized; pin them to the scalar op
-        rng = np.random.default_rng(53)
-        for _ in range(50):
-            pi = random_structure(rng)
-            b = posterior_beliefs(ex1, pi)
-            p = ex1.p
-            pr_a = p * pi.pi_a_given_a + (1 - p) * pi.pi_a_given_n
-            beta_a = p * pi.pi_a_given_a / pr_a if pr_a > 0 else p
-            assert beta_a == pytest.approx(b.beta_a_of_a, abs=1e-15)
+    def test_vectorized_posteriors_match_scalar(self, ex1, tmp_path):
+        # the grid engine derives beliefs vectorized; every traced partition
+        # value, zero-probability-signal corners included, must match the scalar op
+        trace = tmp_path / "cells.csv"
+        grid_search_design(ex1, GridSpec(steps_pi=11, tol=1e-8), trace_path=trace)
+        rows = list(csv.DictReader(trace.read_text().splitlines()))
+        assert len(rows) == 66
+        for row in rows:
+            pi = InformationStructure(float(row["pi_a_a"]), float(row["pi_n_n"]))
+            assert float(row["g_value"]) == pytest.approx(partition_value(ex1, pi), abs=1e-11)
