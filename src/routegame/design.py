@@ -89,7 +89,13 @@ def lambda_thresholds(s: NetworkScenario) -> tuple[float, float]:
     """Informed-fraction regime boundaries ``(lambda_low, lambda_high)``.
 
     Defined only when the prior exceeds ``p_bar``; within that regime the
-    thresholds satisfy ``0 < lambda_low < lambda_high < 1``.
+    thresholds satisfy ``0 < lambda_low <= lambda_high < 1``, since
+
+        lambda_high - lambda_low = (1 - p) * (alpha1_n + alpha2) * (tau - tau_low)
+                                   / (p * D * (alpha1_a + alpha2))
+
+    with ``tau_low = tau_bounds(s)[0]``.  They coincide at ``p = 1`` and at
+    ``tau = tau_low``, where no fraction gets partial disclosure.
     """
     require_valid(s)
     t = _thresholds(s)
@@ -106,63 +112,23 @@ def _thresholds(s: NetworkScenario) -> Thresholds:
     # Ties classify as the no-persuasion regime.
     if s.p <= pb + EPS:
         return Thresholds(p_bar=pb, lambda_low=None, lambda_high=None)
-    lam_low = _lambda_low(s)
-    lam_high = _lambda_high(s)
-    if not (-EPS < lam_low < lam_high < 1.0 + EPS):
+    incident_d = s.alpha1_a + s.alpha2
+    lam_low = _excess(s) / (s.demand * s.p * incident_d)
+    lam_high = 1.0 - s.cost_spread / (incident_d * s.demand) - s.tau / s.demand
+    if not (-EPS < lam_low <= lam_high + EPS and lam_high < 1.0 + EPS):
         raise ArithmeticError(
             f"threshold ordering violated: lambda_low={lam_low!r}, lambda_high={lam_high!r}"
         )
     return Thresholds(p_bar=pb, lambda_low=lam_low, lambda_high=lam_high)
 
 
-def _lambda_low(s: NetworkScenario) -> float:
+def _excess(s: NetworkScenario) -> float:
+    """Numerator shared by ``lambda_low``, both partial structures and their loss.
+
+    It is positive exactly when the prior exceeds ``p_bar``.
+    """
     prior_d = mean_slope(s.p, s) + s.alpha2
-    incident_d = s.alpha1_a + s.alpha2
-    return ((s.demand - s.tau) * prior_d - s.cost_spread) / (s.demand * s.p * incident_d)
-
-
-def _lambda_high(s: NetworkScenario) -> float:
-    incident_d = s.alpha1_a + s.alpha2
-    return 1.0 - s.cost_spread / (incident_d * s.demand) - s.tau / s.demand
-
-
-# --- closed forms per regime -------------------------------------------------
-
-
-def _full_disclosure_loss(s: NetworkScenario, lam: float) -> float:
-    prior_d = mean_slope(s.p, s) + s.alpha2
-    base = s.demand - s.tau - s.cost_spread / prior_d
-    slope_gap = s.alpha1_a - s.alpha1_n
-    return base - s.p * (1.0 - s.p) * slope_gap * lam * s.demand / prior_d
-
-
-def _partial_pi_a_given_a(s: NetworkScenario, lam: float) -> float:
-    prior_d = mean_slope(s.p, s) + s.alpha2
-    incident_d = s.alpha1_a + s.alpha2
-    return ((s.demand - s.tau) * prior_d - s.cost_spread) / (
-        lam * s.demand * incident_d * s.p
-    )
-
-
-def _saturated_pi_a_given_a(s: NetworkScenario) -> float:
-    prior_d = mean_slope(s.p, s) + s.alpha2
-    incident_d = s.alpha1_a + s.alpha2
-    return ((s.demand - s.tau) * prior_d - s.cost_spread) / (
-        ((s.demand - s.tau) * incident_d - s.cost_spread) * s.p
-    )
-
-
-def _partial_loss(s: NetworkScenario) -> float:
-    """Constant spillover attained in both partial-disclosure regimes."""
-    prior_d = mean_slope(s.p, s) + s.alpha2
-    incident_d = s.alpha1_a + s.alpha2
-    return ((s.demand - s.tau) * prior_d - s.cost_spread) / incident_d
-
-
-def _clip_probability(value: float) -> float:
-    if not -EPS <= value <= 1.0 + EPS:
-        raise ArithmeticError(f"derived signal probability outside [0, 1]: {value!r}")
-    return min(max(value, 0.0), 1.0)
+    return (s.demand - s.tau) * prior_d - s.cost_spread
 
 
 def optimal_design(s: NetworkScenario) -> DesignSolution:
@@ -176,21 +142,27 @@ def optimal_design(s: NetworkScenario) -> DesignSolution:
     thresholds = _thresholds(s)
     lam = s.lambda_
     if thresholds.lambda_low is None:
-        regime = Regime.NO_PERSUASION
-        pi_star = InformationStructure.no_information()
-        loss = 0.0
+        regime, pi_aa, loss = Regime.NO_PERSUASION, 0.0, 0.0
     elif lam < thresholds.lambda_low:
-        regime = Regime.FULL_DISCLOSURE
-        pi_star = InformationStructure.full_revelation()
-        loss = _full_disclosure_loss(s, lam)
-    elif lam < thresholds.lambda_high:
-        regime = Regime.PARTIAL_DISCLOSURE
-        pi_star = InformationStructure(_clip_probability(_partial_pi_a_given_a(s, lam)), 1.0)
-        loss = _partial_loss(s)
+        regime, pi_aa = Regime.FULL_DISCLOSURE, 1.0
+        prior_d = mean_slope(s.p, s) + s.alpha2
+        base = s.demand - s.tau - s.cost_spread / prior_d
+        slope_gap = s.alpha1_a - s.alpha1_n
+        loss = base - s.p * (1.0 - s.p) * slope_gap * lam * s.demand / prior_d
     else:
-        regime = Regime.SATURATED_DISCLOSURE
-        pi_star = InformationStructure(_clip_probability(_saturated_pi_a_given_a(s)), 1.0)
-        loss = _partial_loss(s)
+        incident_d = s.alpha1_a + s.alpha2
+        if lam < thresholds.lambda_high:
+            regime = Regime.PARTIAL_DISCLOSURE
+            scale = lam * s.demand * incident_d
+        else:
+            regime = Regime.SATURATED_DISCLOSURE
+            scale = (s.demand - s.tau) * incident_d - s.cost_spread
+        excess = _excess(s)
+        pi_aa = excess / (scale * s.p)
+        loss = excess / incident_d
+    if not -EPS <= pi_aa <= 1.0 + EPS:
+        raise ArithmeticError(f"derived signal probability outside [0, 1]: {pi_aa!r}")
+    pi_star = InformationStructure(min(max(pi_aa, 0.0), 1.0), 1.0)
 
     outcome = _solve(s, pi_star)
     realized = average_spillover(s, outcome)

@@ -279,6 +279,7 @@ def recover_strategies(s: NetworkScenario, outcome: FlowsLike) -> StrategyProfil
     (then under the incident signal), which makes outputs deterministic.
     Equilibrium costs do not depend on the choice.
     """
+    require_valid(s)
     f2_n, f2_a = _flows_of(outcome)
     return _recover(s, f2_n, f2_a)
 
@@ -345,6 +346,7 @@ def verify_wardrop(
     signal for informed travelers).  Unrepresentable flows are reported as
     infeasible rather than raised, since they certify non-equilibrium.
     """
+    require_valid(s)
     f2_n, f2_a = _flows_of(outcome)
     try:
         profile = _recover(s, f2_n, f2_a)

@@ -6,6 +6,7 @@ throughout: route-1 slopes 3/1, route-2 slope 2, free-flow times 15/20,
 demand 10, incident prior 0.3, threshold 2.5.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -119,22 +120,16 @@ def test_criterion_5_dynamics_equivalence():
 
 
 def test_criterion_6_regime_continuity(ex1):
-    from routegame.design import (
-        _full_disclosure_loss,
-        _partial_loss,
-        _partial_pi_a_given_a,
-        _saturated_pi_a_given_a,
-    )
-
     worst = 0.0
     for s in [ex1] + _persuasion_battery(seed=606, count=10):
-        lam_low, lam_high = lambda_thresholds(s)
-        worst = max(
-            worst,
-            abs(_partial_pi_a_given_a(s, lam_low) - 1.0),
-            abs(_full_disclosure_loss(s, lam_low) - _partial_loss(s)),
-            abs(_partial_pi_a_given_a(s, lam_high) - _saturated_pi_a_given_a(s)),
-        )
+        for boundary in lambda_thresholds(s):
+            below = optimal_design(replace(s, lambda_=math.nextafter(boundary, 0.0)))
+            at = optimal_design(replace(s, lambda_=boundary))
+            worst = max(
+                worst,
+                abs(below.pi_star.pi_a_given_a - at.pi_star.pi_a_given_a),
+                abs(below.loss - at.loss),
+            )
     _report(6, "regime continuity", worst <= 1e-9, f"worst boundary gap={worst:.3e}")
 
 

@@ -4,13 +4,16 @@ import json
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from conftest import golden_scenario
 from routegame import cli, equilibrium, model
-from routegame import format_scenario, optimal_design, solve_equilibrium, InformationStructure
+from routegame import (
+    format_scenario, optimal_design, solve_equilibrium, tau_bounds, InformationStructure,
+)
 
 CONFIG_TEXT = format_scenario(golden_scenario())
 DEMO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "demo_network.cfg"
@@ -116,15 +119,27 @@ class TestDesignCommand:
         assert record["regime"] == "full_disclosure"
         assert record["pi_a_a"] == 1
 
-    def test_internal_check_failure_is_domain_error(self, tmp_path):
-        # lambda_low == lambda_high at p = 1: the scenario validates, the design cannot
-        path = tmp_path / "p1.cfg"
-        path.write_text(CONFIG_TEXT.replace("p = 0.3", "p = 1.0"))
-        assert run_cli("validate", str(path)).returncode == 0
-        result = run_cli("design", str(path))
-        assert result.returncode == 1
-        assert result.stderr.startswith("error:")
-        assert "Traceback" not in result.stderr
+    def test_internal_check_failure_is_domain_error(self, config, monkeypatch, capsys):
+        def failing(scenario):
+            raise ArithmeticError("closed-form loss disagrees with realized spillover")
+
+        monkeypatch.setattr(cli, "optimal_design", failing)
+        assert cli.main(["design", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("lam", [0.2, 0.6])
+    @pytest.mark.parametrize("edge", ["p", "tau"])
+    def test_coinciding_thresholds_solve(self, tmp_path, capsys, edge, lam):
+        # lambda_low == lambda_high at p = 1 and at the lower tau bound; at
+        # p = 0.5 rounding puts lambda_low a little above lambda_high
+        s = golden_scenario(lambda_=lam)
+        s = replace(s, p=1.0) if edge == "p" else replace(s, p=0.5, tau=tau_bounds(s)[0])
+        path = tmp_path / "edge.cfg"
+        path.write_text("".join(f"{k} = {v!r}\n" for k, v in s.to_dict().items()))
+        assert cli.main(["design", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["pi_a_a"] == 1
 
     def test_csv_format(self, config):
         result = run_cli("design", str(config), "--format", "csv")
@@ -203,6 +218,15 @@ class TestSweepCommand:
         assert len(rows) == 5
         assert "tau below admissible range" in rows[0]["error"]
         assert rows[2]["error"] == ""  # tau = 3 is admissible
+
+    def test_p_axis_solves_at_one(self, config, tmp_path):
+        out = tmp_path / "p.csv"
+        argv = ["sweep", str(config), "--axis", "p", "--start", "0", "--stop", "1",
+                "--count", "11", "--out", str(out)]
+        assert cli.main(argv) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert float(rows[-1]["p"]) == 1.0
+        assert rows[-1]["error"] == ""
 
     def test_start_after_stop_is_usage_error(self, config):
         result = run_cli(

@@ -17,12 +17,6 @@ from routegame import (
     solve_equilibrium,
     tau_bounds,
 )
-from routegame.design import (
-    _full_disclosure_loss,
-    _partial_loss,
-    _partial_pi_a_given_a,
-    _saturated_pi_a_given_a,
-)
 
 
 class TestPBar:
@@ -175,14 +169,6 @@ class TestOptimalDesign:
 
 
 class TestRegimeContinuity:
-    def test_formulas_agree_at_boundaries(self, ex1):
-        lam_low, lam_high = lambda_thresholds(ex1)
-        assert _partial_pi_a_given_a(ex1, lam_low) == pytest.approx(1.0, abs=1e-9)
-        assert _full_disclosure_loss(ex1, lam_low) == pytest.approx(_partial_loss(ex1), abs=1e-9)
-        assert _partial_pi_a_given_a(ex1, lam_high) == pytest.approx(
-            _saturated_pi_a_given_a(ex1), abs=1e-9
-        )
-
     def test_solution_continuity_across_boundaries(self, ex1):
         lam_low, lam_high = lambda_thresholds(ex1)
         for boundary in (lam_low, lam_high):

@@ -334,3 +334,10 @@ class TestVerifyWardrop:
         assert not report.feasible
         assert not report.ok
 
+    def test_invalid_scenario_refused(self, ex1):
+        # an informed fraction above 1 is the scenario's fault, not the flows'
+        s = replace(ex1, lambda_=1.5)
+        with pytest.raises(InvalidScenarioError):
+            verify_wardrop(s, FULL, (2.0, 4.0))
+        with pytest.raises(InvalidScenarioError):
+            recover_strategies(s, (2.0, 4.0))
