@@ -162,7 +162,9 @@ def validate_scenario(s: NetworkScenario) -> ValidationReport:
     """Check every scenario invariant and report all violations.
 
     Solvers refuse scenarios whose report is non-empty; this function
-    never raises.
+    never raises.  ``tau`` must lie in ``tau_bounds(s)``, the upper bound
+    loosened by ``EPS * demand``; the lower bound is exact, because below
+    it the two fraction thresholds invert and no design is consistent.
     """
     v: list[str] = []
     positive = ("alpha1_a", "alpha1_n", "alpha2", "b1", "b2", "demand", "tau")
@@ -192,10 +194,9 @@ def validate_scenario(s: NetworkScenario) -> ValidationReport:
     # The tau range is only meaningful once the slope ordering holds.
     if all(getattr(s, n) > 0 for n in positive) and s.alpha1_a > s.alpha2 > s.alpha1_n:
         low, high = tau_bounds(s)
-        slack = EPS * s.demand
-        if s.tau < low - slack:
+        if s.tau < low:
             v.append(f"tau below admissible range: tau={s.tau!r} < {low:.12g}")
-        elif s.tau > high + slack:
+        elif s.tau > high + EPS * s.demand:
             v.append(f"tau above admissible range: tau={s.tau!r} > {high:.12g}")
 
     return ValidationReport(tuple(v))

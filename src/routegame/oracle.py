@@ -11,6 +11,7 @@ routes is what the test suite leans on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -50,55 +51,47 @@ class GridSpec:
             raise DomainError(f"tol must be positive, got {self.tol!r}")
 
 
+def _populations(s: NetworkScenario) -> np.ndarray:
+    """Mass of each decision unit as a ``(3, 1)`` column, rows as in the dynamics."""
+    pop1 = s.lambda_ * s.demand
+    return np.array([[pop1], [pop1], [(1.0 - s.lambda_) * s.demand]])
+
+
 def _dynamics_batch(
-    s: NetworkScenario,
-    beta_a: np.ndarray,
-    beta_n: np.ndarray,
-    pr_a: np.ndarray,
-    q1n: np.ndarray,
-    q1a: np.ndarray,
-    q2: np.ndarray,
-    tol: float,
-) -> tuple[np.ndarray, np.ndarray]:
+    s: NetworkScenario, beta: np.ndarray, pr_a: np.ndarray, q: np.ndarray, tol: float
+) -> np.ndarray:
     """Run damped best-response dynamics for a batch of belief systems.
 
-    State per cell: route-2 mass of the informed population under each
-    signal and of the uninformed population.  Each iteration every
-    decision unit moves a damped fraction of the mass reassignment that
-    would equalize its route costs, clipped to the mass actually on the
-    costlier route; a unit's step is halved whenever its cost gap changes
-    sign and grown while it keeps its sign, so persistent one-directional
-    drifts (corner drains under weak incentives) stay fast.  A cell
-    converges when no used route is worse than the best route by ``tol``.
+    Columns are cells.  Rows are the decision units: the informed
+    population under signal n, the informed population under signal a and
+    the uninformed population.  ``q`` holds each unit's initial route-2
+    mass, ``beta`` the incident beliefs after signal n and after signal a,
+    and ``pr_a`` the probability of signal a.  Each iteration every unit
+    moves a damped fraction of the mass reassignment that would equalize
+    its route costs, clipped to the mass actually on the costlier route; a
+    unit's step is halved whenever its cost gap changes sign and grown
+    while it keeps its sign, so persistent one-directional drifts (corner
+    drains under weak incentives) stay fast.  A cell converges when no used
+    route is worse than the best route by ``tol``; it then leaves the
+    batch.  Returns the route-2 flows under signal n and signal a as the
+    rows of a ``(2, cells)`` array.
     """
-    demand, lam = s.demand, s.lambda_
-    pop1 = lam * demand
-    pop2 = (1.0 - lam) * demand
-    a2, b1, b2 = s.alpha2, s.b1, s.b2
-
-    slope_n = s.alpha1_a * beta_n + s.alpha1_n * (1.0 - beta_n)
-    slope_a = s.alpha1_a * beta_a + s.alpha1_n * (1.0 - beta_a)
-    d_n = slope_n + a2
-    d_a = slope_a + a2
-    pr_n = 1.0 - pr_a
-    d_2 = pr_a * d_a + pr_n * d_n
-
-    q1n = np.array(q1n, dtype=float)
-    q1a = np.array(q1a, dtype=float)
-    q2 = np.array(q2, dtype=float)
-
-    n_cells = q2.shape[0]
-    out_f2n = np.empty(n_cells)
-    out_f2a = np.empty(n_cells)
-    idx = np.arange(n_cells)
-    viol = np.zeros(n_cells)
-    step1n = np.ones(n_cells)
-    step1a = np.ones(n_cells)
-    step2 = np.ones(n_cells)
-    last1n = np.zeros(n_cells)
-    last1a = np.zeros(n_cells)
-    last2 = np.zeros(n_cells)
+    demand, a2, b1, b2 = s.demand, s.alpha2, s.b1, s.b2
+    pop = _populations(s)
     used_eps = 1e-12 * demand
+
+    q = np.array(q, dtype=float)
+    slope = s.alpha1_a * beta + s.alpha1_n * (1.0 - beta)
+    pr_n = 1.0 - pr_a
+    d = np.empty_like(q)
+    d[:2] = slope + a2
+    d[2] = pr_a * d[1] + pr_n * d[0]
+
+    out = np.empty((2, q.shape[1]))
+    idx = np.arange(q.shape[1])
+    step = np.ones_like(q)
+    last = np.zeros_like(q)
+    viol = np.zeros(q.shape[1])
 
     iteration = 0
     while idx.size:
@@ -108,61 +101,47 @@ def _dynamics_batch(
                 f"no convergence within {ITERATION_CAP} iterations for "
                 f"{idx.size} cells; residual cost gap {float(viol.max()):.3e}"
             )
-        f2n = q1n + q2
-        f2a = q1a + q2
-        gap_n = slope_n * (demand - f2n) + b1 - (a2 * f2n + b2)
-        gap_a = slope_a * (demand - f2a) + b1 - (a2 * f2a + b2)
-        gap_2 = pr_a * gap_a + pr_n * gap_n
+        f2 = q[:2] + q[2]
+        gap = np.empty_like(q)
+        gap[:2] = slope * (demand - f2) + b1 - (a2 * f2 + b2)
+        gap[2] = pr_a * gap[1] + pr_n * gap[0]
 
-        viol = np.zeros(idx.size)
-        for mass_r2, pop, gap in ((q1n, pop1, gap_n), (q1a, pop1, gap_a), (q2, pop2, gap_2)):
-            on_r1 = (pop - mass_r2) > used_eps
-            on_r2 = mass_r2 > used_eps
-            viol = np.maximum(viol, np.where(on_r1, np.maximum(gap, 0.0), 0.0))
-            viol = np.maximum(viol, np.where(on_r2, np.maximum(-gap, 0.0), 0.0))
+        on_r1 = (pop - q) > used_eps
+        on_r2 = q > used_eps
+        viol = np.maximum(np.where(on_r1, gap, 0.0), np.where(on_r2, -gap, 0.0)).max(axis=0)
 
         done = viol < tol
         if done.any():
-            finished = idx[done]
-            out_f2n[finished] = f2n[done]
-            out_f2a[finished] = f2a[done]
+            out[:, idx[done]] = f2[:, done]
             keep = ~done
             if not keep.any():
                 break
-            idx = idx[keep]
-            q1n, q1a, q2 = q1n[keep], q1a[keep], q2[keep]
-            gap_n, gap_a, gap_2 = gap_n[keep], gap_a[keep], gap_2[keep]
-            slope_n, slope_a = slope_n[keep], slope_a[keep]
-            d_n, d_a, d_2 = d_n[keep], d_a[keep], d_2[keep]
-            pr_a, pr_n = pr_a[keep], pr_n[keep]
-            step1n, step1a, step2 = step1n[keep], step1a[keep], step2[keep]
-            last1n, last1a, last2 = last1n[keep], last1a[keep], last2[keep]
+            idx, pr_a, pr_n = idx[keep], pr_a[keep], pr_n[keep]
+            q, gap, step, last = q[:, keep], gap[:, keep], step[:, keep], last[:, keep]
+            slope, d = slope[:, keep], d[:, keep]
 
-        step1n = np.clip(np.where(gap_n * last1n < 0.0, 0.5, 1.3) * step1n, None, 64.0)
-        step1a = np.clip(np.where(gap_a * last1a < 0.0, 0.5, 1.3) * step1a, None, 64.0)
-        step2 = np.clip(np.where(gap_2 * last2 < 0.0, 0.5, 1.3) * step2, None, 64.0)
-        last1n, last1a, last2 = gap_n, gap_a, gap_2
+        step = np.minimum(np.where(gap * last < 0.0, 0.5, 1.3) * step, 64.0)
+        last = gap
 
         # Positive gap: route 1 costlier, shift mass toward route 2.
-        q1n += np.clip(step1n * gap_n / d_n, -q1n, pop1 - q1n)
-        q1a += np.clip(step1a * gap_a / d_a, -q1a, pop1 - q1a)
-        q2 += np.clip(step2 * gap_2 / d_2, -q2, pop2 - q2)
+        q += np.minimum(np.maximum(step * gap / d, -q), pop - q)
 
-    return out_f2n, out_f2a
+    return out
 
 
-def _start_fractions(spec: GridSpec, extra_random: int = 2) -> np.ndarray:
-    """Initial route-2 shares per restart: fixed corners plus seeded draws."""
+@lru_cache
+def _start_fractions(seed: int, steps_flow: int) -> np.ndarray:
+    """Initial route-2 shares, read-only: rows are decision units, columns
+    restarts (three fixed corners, then two seeded draws from the flow grid)."""
     fixed = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.5, 0.5, 0.5]])
-    if extra_random <= 0:
-        return fixed
-    rng = np.random.default_rng(spec.seed)
-    if spec.steps_flow == 1:
-        random_rows = np.full((extra_random, 3), 0.5)
+    if steps_flow == 1:
+        drawn = np.full((2, 3), 0.5)
     else:
-        grid = np.linspace(0.0, 1.0, spec.steps_flow)
-        random_rows = grid[rng.integers(0, spec.steps_flow, size=(extra_random, 3))]
-    return np.vstack([fixed, random_rows])
+        grid = np.linspace(0.0, 1.0, steps_flow)
+        drawn = grid[np.random.default_rng(seed).integers(0, steps_flow, size=(2, 3))]
+    fracs = np.vstack([fixed, drawn]).T
+    fracs.flags.writeable = False
+    return fracs
 
 
 def best_response_equilibrium(
@@ -175,20 +154,10 @@ def best_response_equilibrium(
     """
     require_valid(s)
     beliefs = posterior_beliefs(s, pi)
-    fracs = _start_fractions(spec)
-    n = fracs.shape[0]
-    pop1 = s.lambda_ * s.demand
-    pop2 = (1.0 - s.lambda_) * s.demand
-    f2n, f2a = _dynamics_batch(
-        s,
-        np.full(n, beliefs.beta_a_of_a),
-        np.full(n, beliefs.beta_n_of_a),
-        np.full(n, beliefs.pr_a),
-        fracs[:, 0] * pop1,
-        fracs[:, 1] * pop1,
-        fracs[:, 2] * pop2,
-        spec.tol,
-    )
+    q = _start_fractions(spec.seed, spec.steps_flow) * _populations(s)
+    n = q.shape[1]
+    beta = np.full((2, n), [[beliefs.beta_n_of_a], [beliefs.beta_a_of_a]])
+    f2n, f2a = _dynamics_batch(s, beta, np.full(n, beliefs.pr_a), q, spec.tol)
     spread = max(f2n.max() - f2n.min(), f2a.max() - f2a.min()) / s.demand
     if spread > 10.0 * spec.tol:
         raise ConvergenceError(
@@ -221,18 +190,8 @@ def grid_search_design(
     beta_a = np.divide(p * pa, pr_a, out=np.full(pa.shape, p), where=pr_a > 0.0)
     beta_n = np.divide(p * (1.0 - pa), pr_n, out=np.full(pa.shape, p), where=pr_n > 0.0)
 
-    pop1 = s.lambda_ * s.demand
-    pop2 = (1.0 - s.lambda_) * s.demand
-    f2n, f2a = _dynamics_batch(
-        s,
-        beta_a,
-        beta_n,
-        pr_a,
-        np.full(pa.shape, 0.5 * pop1),
-        np.full(pa.shape, 0.5 * pop1),
-        np.full(pa.shape, 0.5 * pop2),
-        spec.tol,
-    )
+    q = np.repeat(0.5 * _populations(s), pa.shape[0], axis=1)
+    f2n, f2a = _dynamics_batch(s, np.stack([beta_n, beta_a]), pr_a, q, spec.tol)
     losses = pr_a * np.maximum(f2a - s.tau, 0.0) + pr_n * np.maximum(f2n - s.tau, 0.0)
 
     if trace_path is not None:

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import golden_scenario
+import routegame
 from routegame import cli, equilibrium, model
 from routegame import (
     format_scenario, optimal_design, solve_equilibrium, tau_bounds, InformationStructure,
@@ -17,6 +19,13 @@ from routegame import (
 
 CONFIG_TEXT = format_scenario(golden_scenario())
 DEMO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "demo_network.cfg"
+# Child processes import the routegame this process imported, so the CLI
+# tests also run in a checkout that is not installed.
+PACKAGE_ROOT = str(Path(routegame.__file__).resolve().parents[1])
+CHILD_ENV = dict(os.environ)
+CHILD_ENV["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")])
+)
 
 # sha256 of the CSV and of its .meta.json sidecar for a 101-point sweep of the
 # demo config with all outputs; the tau range includes invalid points.
@@ -42,6 +51,7 @@ def run_cli(*args: str, cwd=None) -> subprocess.CompletedProcess:
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=CHILD_ENV,
     )
 
 
@@ -329,7 +339,7 @@ class TestLazyOracleImport:
         # -X importtime lists every module the process imports on stderr
         result = subprocess.run(
             [sys.executable, "-X", "importtime", *(a.format(cfg=config) for a in args)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=CHILD_ENV,
         )
         assert result.returncode == 0, result.stderr
         imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}

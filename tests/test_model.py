@@ -4,6 +4,7 @@ import pytest
 
 from conftest import golden_scenario
 from routegame import (
+    EPS,
     DomainError,
     InformationStructure,
     ScenarioParseError,
@@ -39,6 +40,16 @@ class TestValidateScenario:
         low, high = tau_bounds(golden_scenario())
         assert validate_scenario(golden_scenario(tau=low)).ok
         assert validate_scenario(golden_scenario(tau=high)).ok
+
+    def test_tau_lower_bound_has_no_slack(self):
+        # below the lower bound the fraction thresholds invert, so even a
+        # gap inside the flow tolerance is refused; the upper bound keeps it
+        s = golden_scenario()
+        low, high = tau_bounds(s)
+        report = validate_scenario(golden_scenario(tau=low - 0.5 * EPS * s.demand))
+        assert any("tau below admissible range" in v for v in report.violations)
+        assert validate_scenario(golden_scenario(tau=low)).ok
+        assert validate_scenario(golden_scenario(tau=high + 0.5 * EPS * s.demand)).ok
 
     @pytest.mark.parametrize(
         "override, fragment",

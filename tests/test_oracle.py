@@ -1,4 +1,7 @@
 import csv
+import hashlib
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +25,32 @@ import routegame.oracle as oracle_mod
 
 FULL = InformationStructure.full_revelation()
 SPEC = GridSpec(tol=1e-9)
+
+# Exact reprs of best_response_equilibrium on 20 draws from default_rng(2026).
+# Any change to the iterates shows here, not only one beyond tolerance, so
+# acceptance criterion 5 keeps speaking about the same dynamics.
+PINNED_FLOWS = [
+    "(8.579532202737383, 15.32308337455439)",
+    "(6.25142039598284, 7.97806774437206)",
+    "(2.4066541922003504, 3.623459209264604)",
+    "(10.929479052415047, 11.99600118036618)",
+    "(14.997515809955363, 18.439873012640476)",
+    "(8.7129342042154, 10.806486602432539)",
+    "(22.977493572223757, 23.136707836666805)",
+    "(4.238203624740771, 4.4152103551330875)",
+    "(17.109626776552865, 22.06859085142748)",
+    "(6.606506203189721, 7.44194249647866)",
+    "(1.9785685646551525, 2.607159132968846)",
+    "(1.2836763396951096, 2.2765102635926495)",
+    "(11.712111784309112, 11.94770413960759)",
+    "(4.977060082972084, 5.096217973781469)",
+    "(3.4252247499297632, 4.236925522870955)",
+    "(8.190149260634538, 9.835521586824557)",
+    "(12.59029792497676, 12.804845967835504)",
+    "(14.47126864273592, 17.747183885956836)",
+    "(8.033213699162403, 8.778100687956387)",
+    "(1.567879014606399, 1.7794916811221526)",
+]
 
 
 class TestGridSpec:
@@ -78,6 +107,28 @@ class TestBestResponseEquilibrium:
         with pytest.raises(ConvergenceError, match="residual cost gap"):
             best_response_equilibrium(ex1, FULL, SPEC)
 
+    @pytest.mark.parametrize("cap", [18, 19, 20])
+    def test_iteration_cap_after_some_restarts_converged(self, ex1, monkeypatch, cap):
+        # on ex1 under full revelation the five restarts converge after 18 to
+        # 21 iterations, so these caps stop the batch after it has dropped
+        # its finished cells
+        monkeypatch.setattr(oracle_mod, "ITERATION_CAP", cap)
+        with pytest.raises(ConvergenceError) as info:
+            best_response_equilibrium(ex1, FULL, SPEC)
+        found = re.search(r"for (\d+) cells; residual cost gap (\S+)$", str(info.value))
+        assert found, str(info.value)
+        assert 0 < int(found[1]) < 5
+        gap = float(found[2])
+        assert math.isfinite(gap) and gap >= SPEC.tol
+
+    def test_flows_are_bit_pinned(self):
+        rng = np.random.default_rng(2026)
+        got = [
+            repr(best_response_equilibrium(random_scenario(rng), random_structure(rng), SPEC))
+            for _ in range(len(PINNED_FLOWS))
+        ]
+        assert got == PINNED_FLOWS
+
 
 class TestGridSearchDesign:
     def test_saturated_regime_loss(self, ex1):
@@ -133,6 +184,16 @@ class TestGridSearchDesign:
         assert float(row[2]) == pytest.approx(partition_value(ex1, FULL), abs=1e-6)
         assert float(row[3]) == pytest.approx(out.f2_given_n, abs=1e-6)
         assert float(row[4]) == pytest.approx(out.f2_given_a, abs=1e-6)
+
+    def test_trace_is_bit_pinned(self, ex1, tmp_path):
+        trace = tmp_path / "cells.csv"
+        best_pi, best_loss = grid_search_design(
+            ex1, GridSpec(steps_pi=41, tol=1e-9), trace_path=trace
+        )
+        assert (best_pi, best_loss) == (InformationStructure(0.675, 1.0), 0.4035937500392356)
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == (
+            "d210f49dde7242d9275336694822ed29691935454a6edb7c0cc220df24dd6366"
+        )
 
     def test_vectorized_posteriors_match_scalar(self, ex1, tmp_path):
         # the grid engine derives beliefs vectorized; every traced partition
