@@ -14,8 +14,9 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -34,6 +35,8 @@ from .model import (
 
 AXIS_FIELDS = {"lambda": "lambda_", "tau": "tau", "p": "p"}
 OUTPUT_GROUPS = ("pi_star", "flows", "loss", "costs")
+_NO_INFO = InformationStructure.no_information()
+_FULL_INFO = InformationStructure.full_revelation()
 
 
 @dataclass(frozen=True)
@@ -50,6 +53,10 @@ class SweepRequest:
     def __post_init__(self) -> None:
         if self.axis not in AXIS_FIELDS:
             raise DomainError(f"unknown sweep axis {self.axis!r}")
+        if not math.isfinite(self.stop - self.start):
+            raise DomainError(
+                f"start {self.start!r}, stop {self.stop!r} and their difference must be finite"
+            )
         if self.start > self.stop:
             raise DomainError(f"start {self.start!r} exceeds stop {self.stop!r}")
         if self.count < 1:
@@ -66,6 +73,8 @@ class SweepRequest:
 
 
 def _fmt(value: object) -> str:
+    if type(value) is float:
+        return f"{value:.12g}"
     if value is None:
         return ""
     if isinstance(value, str):
@@ -143,11 +152,10 @@ def _sweep_columns(outputs: frozenset[str], axis: str) -> list[str]:
     return cols
 
 
-def _sweep_row(request: SweepRequest, value: float) -> dict[str, object]:
-    scenario = replace(request.scenario, **{AXIS_FIELDS[request.axis]: value})
+def _sweep_row(request: SweepRequest, s: NetworkScenario, value: float) -> dict[str, object]:
     row: dict[str, object] = {request.axis: value}
     try:
-        solution = optimal_design(scenario)
+        solution = optimal_design(s)
     except InvalidScenarioError as exc:
         row["error"] = "; ".join(exc.report.violations)
         return row
@@ -162,14 +170,13 @@ def _sweep_row(request: SweepRequest, value: float) -> dict[str, object]:
         row.update(
             f2_n=out.f2_given_n, f2_a=out.f2_given_a, f1_n=out.f1_given_n, f1_a=out.f1_given_a
         )
-    needs_baselines = "loss" in outputs or "costs" in outputs
-    if needs_baselines:
-        no_info = _solve(scenario, InformationStructure.no_information())
-        full_info = _solve(scenario, InformationStructure.full_revelation())
+    if "loss" in outputs or "costs" in outputs:
+        no_info = _solve(s, _NO_INFO)
+        full_info = _solve(s, _FULL_INFO)
     if "loss" in outputs:
         row["loss"] = solution.loss
-        row["loss_no_info"] = average_spillover(scenario, no_info)
-        row["loss_full_info"] = average_spillover(scenario, full_info)
+        row["loss_no_info"] = average_spillover(s, no_info)
+        row["loss_full_info"] = average_spillover(s, full_info)
     if "costs" in outputs:
         out = solution.outcome
         row.update(cost_pop1=out.cost_pop1, cost_pop2=out.cost_pop2, cost_avg=out.cost_avg)
@@ -182,10 +189,12 @@ def _sweep_row(request: SweepRequest, value: float) -> dict[str, object]:
 def run_sweep(request: SweepRequest) -> tuple[list[str], list[dict[str, object]]]:
     """Evaluate every sweep point; per-point failures land in the error column."""
     columns = _sweep_columns(request.outputs, request.axis)
+    fields, name = request.scenario.to_dict(), AXIS_FIELDS[request.axis]
     rows = []
     for value in request.axis_values():
+        fields[name] = value
         try:
-            rows.append(_sweep_row(request, value))
+            rows.append(_sweep_row(request, NetworkScenario(**fields), value))
         except (DomainError, ArithmeticError) as exc:
             rows.append({request.axis: value, "error": str(exc)})
     return columns, rows

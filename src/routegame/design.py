@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .equilibrium import EquilibriumOutcome, _solve, average_spillover, mean_slope
+from .equilibrium import EquilibriumOutcome, _slope, _solve, average_spillover
 from .model import (
     EPS,
     DomainError,
@@ -79,9 +79,13 @@ def p_bar(s: NetworkScenario) -> float:
     equals the spillover threshold; the admissible tau range keeps it in
     [0, 1].
     """
+    return _p_bar(s, s.cost_spread)
+
+
+def _p_bar(s: NetworkScenario, spread: float) -> float:
     if s.tau >= s.demand:
         raise DomainError(f"tau={s.tau!r} must be below demand={s.demand!r}")
-    inner = s.cost_spread / (s.demand - s.tau) - s.alpha2 - s.alpha1_n
+    inner = spread / (s.demand - s.tau) - s.alpha2 - s.alpha1_n
     return inner / (s.alpha1_a - s.alpha1_n)
 
 
@@ -98,7 +102,8 @@ def lambda_thresholds(s: NetworkScenario) -> tuple[float, float]:
     ``tau = tau_low``, where no fraction gets partial disclosure.
     """
     require_valid(s)
-    t = _thresholds(s)
+    spread, _, excess = _terms(s)
+    t = _thresholds(s, spread, excess)
     if t.lambda_low is None:
         raise RegimeError(
             f"lambda thresholds are undefined for p={s.p!r} <= p_bar={t.p_bar:.12g}"
@@ -106,29 +111,30 @@ def lambda_thresholds(s: NetworkScenario) -> tuple[float, float]:
     return t.lambda_low, t.lambda_high
 
 
-def _thresholds(s: NetworkScenario) -> Thresholds:
+def _terms(s: NetworkScenario) -> tuple[float, float, float]:
+    """``cost_spread``, the prior flow denominator ``prior_d = mean_slope(p) +
+    alpha2`` and ``(D - tau) * prior_d - cost_spread``, the numerator of
+    ``lambda_low``, both partial structures and their loss (positive exactly
+    when the prior exceeds ``p_bar``)."""
+    spread = s.cost_spread
+    prior_d = _slope(s, s.p) + s.alpha2
+    return spread, prior_d, (s.demand - s.tau) * prior_d - spread
+
+
+def _thresholds(s: NetworkScenario, spread: float, excess: float) -> Thresholds:
     """Regime boundaries of a scenario the caller has validated."""
-    pb = p_bar(s)
+    pb = _p_bar(s, spread)
     # Ties classify as the no-persuasion regime.
     if s.p <= pb + EPS:
         return Thresholds(p_bar=pb, lambda_low=None, lambda_high=None)
     incident_d = s.alpha1_a + s.alpha2
-    lam_low = _excess(s) / (s.demand * s.p * incident_d)
-    lam_high = 1.0 - s.cost_spread / (incident_d * s.demand) - s.tau / s.demand
+    lam_low = excess / (s.demand * s.p * incident_d)
+    lam_high = 1.0 - spread / (incident_d * s.demand) - s.tau / s.demand
     if not (-EPS < lam_low <= lam_high + EPS and lam_high < 1.0 + EPS):
         raise ArithmeticError(
             f"threshold ordering violated: lambda_low={lam_low!r}, lambda_high={lam_high!r}"
         )
     return Thresholds(p_bar=pb, lambda_low=lam_low, lambda_high=lam_high)
-
-
-def _excess(s: NetworkScenario) -> float:
-    """Numerator shared by ``lambda_low``, both partial structures and their loss.
-
-    It is positive exactly when the prior exceeds ``p_bar``.
-    """
-    prior_d = mean_slope(s.p, s) + s.alpha2
-    return (s.demand - s.tau) * prior_d - s.cost_spread
 
 
 def optimal_design(s: NetworkScenario) -> DesignSolution:
@@ -139,14 +145,14 @@ def optimal_design(s: NetworkScenario) -> DesignSolution:
     cross-checked against the spillover recomputed from those flows.
     """
     require_valid(s)
-    thresholds = _thresholds(s)
+    spread, prior_d, excess = _terms(s)
+    thresholds = _thresholds(s, spread, excess)
     lam = s.lambda_
     if thresholds.lambda_low is None:
         regime, pi_aa, loss = Regime.NO_PERSUASION, 0.0, 0.0
     elif lam < thresholds.lambda_low:
         regime, pi_aa = Regime.FULL_DISCLOSURE, 1.0
-        prior_d = mean_slope(s.p, s) + s.alpha2
-        base = s.demand - s.tau - s.cost_spread / prior_d
+        base = s.demand - s.tau - spread / prior_d
         slope_gap = s.alpha1_a - s.alpha1_n
         loss = base - s.p * (1.0 - s.p) * slope_gap * lam * s.demand / prior_d
     else:
@@ -156,8 +162,7 @@ def optimal_design(s: NetworkScenario) -> DesignSolution:
             scale = lam * s.demand * incident_d
         else:
             regime = Regime.SATURATED_DISCLOSURE
-            scale = (s.demand - s.tau) * incident_d - s.cost_spread
-        excess = _excess(s)
+            scale = (s.demand - s.tau) * incident_d - spread
         pi_aa = excess / (scale * s.p)
         loss = excess / incident_d
     if not -EPS <= pi_aa <= 1.0 + EPS:

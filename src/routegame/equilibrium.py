@@ -49,6 +49,9 @@ class BeliefSystem:
     pr_a: float
 
     def __post_init__(self) -> None:
+        a, n, hi = self.beta_a_of_a, self.beta_n_of_a, 1.0 + EPS
+        if -EPS <= a <= hi and -EPS <= n <= hi and -EPS <= self.pr_a <= hi and a >= n - EPS:
+            return
         for name in ("beta_a_of_a", "beta_n_of_a", "pr_a"):
             v = getattr(self, name)
             if not -EPS <= v <= 1.0 + EPS:
@@ -165,17 +168,20 @@ def mean_slope(belief_of_a: float, s: NetworkScenario) -> float:
     """Expected route-1 congestion slope under an incident belief."""
     if not -EPS <= belief_of_a <= 1.0 + EPS:
         raise DomainError(f"belief must lie in [0, 1], got {belief_of_a!r}")
+    return _slope(s, belief_of_a)
+
+
+def _slope(s: NetworkScenario, belief_of_a):
+    """:func:`mean_slope` without the range check, for checked beliefs and arrays."""
     return s.alpha1_a * belief_of_a + s.alpha1_n * (1.0 - belief_of_a)
 
 
-def _partition(s: NetworkScenario, beta_n, beta_a):
-    """Partition value from the two incident posteriors.
+def _partition(s: NetworkScenario, spread: float, d_n, d_a):
+    """Partition value from the flow denominators ``mean_slope + alpha2`` of the
+    two signals.
 
     Pure arithmetic, so it serves scalars and numpy arrays alike.
     """
-    spread = s.cost_spread
-    d_n = s.alpha1_a * beta_n + s.alpha1_n * (1.0 - beta_n) + s.alpha2
-    d_a = s.alpha1_a * beta_a + s.alpha1_n * (1.0 - beta_a) + s.alpha2
     return spread / (d_n * s.demand) - spread / (d_a * s.demand)
 
 
@@ -186,8 +192,9 @@ def partition_value(s: NetworkScenario, pi: InformationStructure) -> float:
     equilibrium branch; it is nonnegative because the incident posterior
     is higher after the incident signal.
     """
-    beliefs = posterior_beliefs(s, pi)
-    return _partition(s, beliefs.beta_n_of_a, beliefs.beta_a_of_a)
+    beliefs, a2 = posterior_beliefs(s, pi), s.alpha2
+    d_n, d_a = _slope(s, beliefs.beta_n_of_a) + a2, _slope(s, beliefs.beta_a_of_a) + a2
+    return _partition(s, s.cost_spread, d_n, d_a)
 
 
 def _checked_flow(f: float, demand: float) -> float:
@@ -202,6 +209,10 @@ def solve_equilibrium(s: NetworkScenario, pi: InformationStructure) -> Equilibri
     A tie between the branch conditions is labeled
     :attr:`Branch.INFORMED_SWITCH_ALL`; both branch formulas agree on the
     flows there, so only the label is affected.
+
+    Population costs average over the joint state/signal distribution under
+    the canonical decomposition of :func:`recover_strategies`; at equilibrium
+    every used route costs the same, so the choice does not matter.
     """
     require_valid(s)
     return _solve(s, pi)
@@ -210,23 +221,33 @@ def solve_equilibrium(s: NetworkScenario, pi: InformationStructure) -> Equilibri
 def _solve(s: NetworkScenario, pi: InformationStructure) -> EquilibriumOutcome:
     """:func:`solve_equilibrium` for a scenario the caller has validated."""
     beliefs = posterior_beliefs(s, pi)
-    g = _partition(s, beliefs.beta_n_of_a, beliefs.beta_a_of_a)
-    lam, demand, spread = s.lambda_, s.demand, s.cost_spread
+    pr_a = beliefs.pr_a
+    lam, demand, a2, spread = s.lambda_, s.demand, s.alpha2, s.cost_spread
+    m_n, m_a = _slope(s, beliefs.beta_n_of_a), _slope(s, beliefs.beta_a_of_a)
+    d_n, d_a = m_n + a2, m_a + a2
+    g = _partition(s, spread, d_n, d_a)
 
     if g >= lam:
         branch = Branch.INFORMED_SWITCH_ALL
-        d_a = mean_slope(beliefs.beta_a_of_a, s) + s.alpha2
-        d_prior = mean_slope(s.p, s) + s.alpha2
-        f2_n = demand - (spread + lam * demand * beliefs.pr_a * d_a) / d_prior
+        f2_n = demand - (spread + lam * demand * pr_a * d_a) / (_slope(s, s.p) + a2)
         f2_a = f2_n + lam * demand
     else:
         branch = Branch.BOTH_SPLIT
-        f2_n = demand - spread / (mean_slope(beliefs.beta_n_of_a, s) + s.alpha2)
-        f2_a = demand - spread / (mean_slope(beliefs.beta_a_of_a, s) + s.alpha2)
-
+        f2_n = demand - spread / d_n
+        f2_a = demand - spread / d_a
     f2_n = _checked_flow(f2_n, demand)
     f2_a = _checked_flow(f2_a, demand)
-    cost1, cost2, cost_avg = _population_costs(s, beliefs, f2_n, f2_a)
+
+    c1_n, c1_a, c2_n, c2_a = _signal_costs(s, m_n, m_a, f2_n, f2_a)
+    q1_n, q1_a, q2, pop1, pop2 = _decompose(s, f2_n, f2_a)
+    pr_n, q2_route1 = 1.0 - pr_a, pop2 - q2
+    total1 = pr_n * (c1_n * (pop1 - q1_n) + c2_n * q1_n) + pr_a * (
+        c1_a * (pop1 - q1_a) + c2_a * q1_a
+    )
+    total2 = pr_n * (c1_n * q2_route1 + c2_n * q2) + pr_a * (c1_a * q2_route1 + c2_a * q2)
+    # An empty population's cost is defined as the other population's.
+    cost1 = total1 / pop1 if lam != 0.0 else total2 / pop2
+    cost2 = total2 / pop2 if lam != 1.0 else cost1
     return EquilibriumOutcome(
         f2_given_n=f2_n,
         f2_given_a=f2_a,
@@ -237,38 +258,37 @@ def _solve(s: NetworkScenario, pi: InformationStructure) -> EquilibriumOutcome:
         beliefs=beliefs,
         cost_pop1=cost1,
         cost_pop2=cost2,
-        cost_avg=cost_avg,
+        cost_avg=lam * cost1 + (1.0 - lam) * cost2,
     )
 
 
-def _recover(s: NetworkScenario, f2_n: float, f2_a: float) -> StrategyProfile:
-    demand = s.demand
-    slack = EPS * demand
-    for name, f in (("f2_n", f2_n), ("f2_a", f2_a)):
-        if f < -slack or f > demand + slack:
-            raise DomainError(f"{name} outside [0, demand]: {f!r}")
-
-    pop1 = s.lambda_ * demand
-    pop2 = (1.0 - s.lambda_) * demand
+def _decompose(s: NetworkScenario, f2_n: float, f2_a: float) -> tuple[float, ...]:
+    """Canonical decomposition of flows in ``[0, demand]``, as the
+    :class:`StrategyProfile` fields ``(q1_n, q1_a, q2, pop1, pop2)``."""
+    demand, lam = s.demand, s.lambda_
+    pop1 = lam * demand
+    pop2 = (1.0 - lam) * demand
     diff = f2_a - f2_n
     # Bounds on q1_route2_n from nonnegativity and the population totals.
     lo = max(0.0, -diff, f2_n - pop2)
     hi = min(pop1, pop1 - diff, f2_n)
-    if lo > hi + slack:
+    if lo > hi + EPS * demand:
         raise InfeasibleStrategyError(
             f"flows (f2_n={f2_n!r}, f2_a={f2_a!r}) admit no nonnegative "
-            f"decomposition at lambda_={s.lambda_!r}"
+            f"decomposition at lambda_={lam!r}"
         )
     q1_n = min(lo, hi)  # canonical: smallest feasible q1_route2_n
     q1_a = min(max(q1_n + diff, 0.0), pop1)
     q2 = min(max(f2_n - q1_n, 0.0), pop2)
-    return StrategyProfile(
-        q1_route2_n=q1_n,
-        q1_route2_a=q1_a,
-        q2_route2=q2,
-        pop1_mass=pop1,
-        pop2_mass=pop2,
-    )
+    return q1_n, q1_a, q2, pop1, pop2
+
+
+def _recover(s: NetworkScenario, f2_n: float, f2_a: float) -> StrategyProfile:
+    slack = EPS * s.demand
+    for name, f in (("f2_n", f2_n), ("f2_a", f2_a)):
+        if f < -slack or f > s.demand + slack:
+            raise DomainError(f"{name} outside [0, demand]: {f!r}")
+    return StrategyProfile(*_decompose(s, f2_n, f2_a))
 
 
 def recover_strategies(s: NetworkScenario, outcome: FlowsLike) -> StrategyProfile:
@@ -292,48 +312,15 @@ def _flows_of(outcome: FlowsLike) -> tuple[float, float]:
 
 
 def _signal_costs(
-    s: NetworkScenario, beliefs: BeliefSystem, f2_n: float, f2_a: float
+    s: NetworkScenario, m_n: float, m_a: float, f2_n: float, f2_a: float
 ) -> tuple[float, float, float, float]:
-    """Expected costs (route 1, route 2) conditional on each signal."""
-    c1_n = mean_slope(beliefs.beta_n_of_a, s) * (s.demand - f2_n) + s.b1
-    c1_a = mean_slope(beliefs.beta_a_of_a, s) * (s.demand - f2_a) + s.b1
+    """Expected costs (route 1, route 2) conditional on each signal, from the
+    conditional route-1 slopes ``m_n`` and ``m_a``."""
+    c1_n = m_n * (s.demand - f2_n) + s.b1
+    c1_a = m_a * (s.demand - f2_a) + s.b1
     c2_n = s.alpha2 * f2_n + s.b2
     c2_a = s.alpha2 * f2_a + s.b2
     return c1_n, c1_a, c2_n, c2_a
-
-
-def _population_costs(
-    s: NetworkScenario, beliefs: BeliefSystem, f2_n: float, f2_a: float
-) -> tuple[float, float, float]:
-    """Average experienced cost of each population and their blend.
-
-    Costs are averaged over the joint state/signal distribution using the
-    canonical strategy decomposition; at equilibrium every used route has
-    the same expected cost, so the decomposition does not matter.  When a
-    population is empty its cost is defined as the other population's.
-    """
-    profile = _recover(s, f2_n, f2_a)
-    c1_n, c1_a, c2_n, c2_a = _signal_costs(s, beliefs, f2_n, f2_a)
-    pr_n, pr_a = beliefs.pr_n, beliefs.pr_a
-
-    pop1_total = pr_n * (c1_n * profile.q1_route1_n + c2_n * profile.q1_route2_n) + pr_a * (
-        c1_a * profile.q1_route1_a + c2_a * profile.q1_route2_a
-    )
-    pop2_total = pr_n * (c1_n * profile.q2_route1 + c2_n * profile.q2_route2) + pr_a * (
-        c1_a * profile.q2_route1 + c2_a * profile.q2_route2
-    )
-
-    lam = s.lambda_
-    if lam == 0.0:
-        cost2 = pop2_total / profile.pop2_mass
-        cost1 = cost2
-    elif lam == 1.0:
-        cost1 = pop1_total / profile.pop1_mass
-        cost2 = cost1
-    else:
-        cost1 = pop1_total / profile.pop1_mass
-        cost2 = pop2_total / profile.pop2_mass
-    return cost1, cost2, lam * cost1 + (1.0 - lam) * cost2
 
 
 def verify_wardrop(
@@ -354,7 +341,8 @@ def verify_wardrop(
         return VerificationReport(feasible=False, violations=(str(exc),), max_gap=float("inf"))
 
     beliefs = posterior_beliefs(s, pi)
-    c1_n, c1_a, c2_n, c2_a = _signal_costs(s, beliefs, f2_n, f2_a)
+    m_n, m_a = _slope(s, beliefs.beta_n_of_a), _slope(s, beliefs.beta_a_of_a)
+    c1_n, c1_a, c2_n, c2_a = _signal_costs(s, m_n, m_a, f2_n, f2_a)
     # Uninformed travelers weigh the per-signal costs by the signal marginals.
     e2_r1 = beliefs.pr_n * c1_n + beliefs.pr_a * c1_a
     e2_r2 = beliefs.pr_n * c2_n + beliefs.pr_a * c2_a

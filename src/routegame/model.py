@@ -11,6 +11,7 @@ on route 2 in excess of the threshold ``tau``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -114,6 +115,9 @@ class InformationStructure:
     pi_n_given_n: float
 
     def __post_init__(self) -> None:
+        aa, nn, hi = self.pi_a_given_a, self.pi_n_given_n, 1.0 + EPS
+        if -EPS <= aa <= hi and -EPS <= nn <= hi and nn >= 1.0 - aa - EPS:
+            return
         for name in ("pi_a_given_a", "pi_n_given_n"):
             v = getattr(self, name)
             if not -EPS <= v <= 1.0 + EPS:
@@ -162,16 +166,19 @@ def validate_scenario(s: NetworkScenario) -> ValidationReport:
     """Check every scenario invariant and report all violations.
 
     Solvers refuse scenarios whose report is non-empty; this function
-    never raises.  ``tau`` must lie in ``tau_bounds(s)``, the upper bound
-    loosened by ``EPS * demand``; the lower bound is exact, because below
-    it the two fraction thresholds invert and no design is consistent.
+    never raises.  Slopes, free-flow times, ``demand`` and ``tau`` must be
+    positive and finite.  ``tau`` must lie in ``tau_bounds(s)``, the upper
+    bound loosened by ``EPS * demand``; the lower bound is exact, because
+    below it the two fraction thresholds invert and no design is consistent.
     """
     v: list[str] = []
     positive = ("alpha1_a", "alpha1_n", "alpha2", "b1", "b2", "demand", "tau")
+    in_range = True
     for name in positive:
         val = getattr(s, name)
-        if not val > 0:
-            v.append(f"{name} must be positive, got {val!r}")
+        if not 0 < val < math.inf:
+            in_range = False
+            v.append(f"{name} must be {'positive' if val <= 0 else 'finite'}, got {val!r}")
     for name in ("p", "lambda_"):
         val = getattr(s, name)
         if not 0.0 <= val <= 1.0:
@@ -192,7 +199,7 @@ def validate_scenario(s: NetworkScenario) -> ValidationReport:
             )
 
     # The tau range is only meaningful once the slope ordering holds.
-    if all(getattr(s, n) > 0 for n in positive) and s.alpha1_a > s.alpha2 > s.alpha1_n:
+    if in_range and s.alpha1_a > s.alpha2 > s.alpha1_n:
         low, high = tau_bounds(s)
         if s.tau < low:
             v.append(f"tau below admissible range: tau={s.tau!r} < {low:.12g}")

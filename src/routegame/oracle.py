@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .equilibrium import _partition, posterior_beliefs
+from .equilibrium import _partition, _slope, posterior_beliefs
 from .model import (
     ConvergenceError,
     DomainError,
@@ -195,7 +195,8 @@ def grid_search_design(
     losses = pr_a * np.maximum(f2a - s.tau, 0.0) + pr_n * np.maximum(f2n - s.tau, 0.0)
 
     if trace_path is not None:
-        g = _partition(s, beta_n, beta_a)
+        d_n, d_a = _slope(s, beta_n) + s.alpha2, _slope(s, beta_a) + s.alpha2
+        g = _partition(s, s.cost_spread, d_n, d_a)
         lines = ["pi_a_a,pi_n_n,g_value,f2_n,f2_a,loss"]
         for i in range(pa.shape[0]):
             lines.append(

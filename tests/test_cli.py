@@ -129,6 +129,15 @@ class TestDesignCommand:
         assert record["regime"] == "full_disclosure"
         assert record["pi_a_a"] == 1
 
+    def test_infinite_demand_is_invalid_scenario(self, tmp_path):
+        path = tmp_path / "infdemand.cfg"
+        path.write_text(CONFIG_TEXT.replace("demand = 10\n", "demand = inf\n"))
+        result = run_cli("design", str(path))
+        assert result.returncode == 1
+        assert "invalid scenario" in result.stderr
+        assert "demand must be finite, got inf" in result.stderr
+        assert "threshold ordering" not in result.stderr
+
     def test_internal_check_failure_is_domain_error(self, config, monkeypatch, capsys):
         def failing(scenario):
             raise ArithmeticError("closed-form loss disagrees with realized spillover")
@@ -244,6 +253,21 @@ class TestSweepCommand:
             "--count", "3",
         )
         assert result.returncode == 2
+
+    @pytest.mark.parametrize(
+        "start, stop",
+        [("0", "inf"), ("-inf", "1"), ("nan", "1"), ("0", "nan"), ("-1e308", "1e308")],
+    )
+    def test_non_finite_range_is_usage_error(self, config, capsys, start, stop):
+        # --stop inf used to exit 0 with a nan axis value (0 + 0 * inf),
+        # --start nan passed the start > stop check, and a range wider than
+        # the largest float gave the same nan through an infinite step
+        argv = ["sweep", str(config), "--axis", "lambda", f"--start={start}", f"--stop={stop}",
+                "--count", "3"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error:")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("axis, start, stop", sorted(DEMO_SWEEP_DIGESTS))
     def test_demo_sweeps_are_byte_pinned(self, tmp_path, axis, start, stop):

@@ -1,38 +1,60 @@
-"""Property test over the edges of the parameter space.
+"""Property tests over the edges of the parameter space.
 
 Every scenario that validates must get a design, the design's flows must
 pass the Wardrop check, and its loss must lie between zero and the better
 of the two baselines (no information, full information), with slack
-``EPS * demand``.
+``EPS * demand``.  A scenario with one non-finite field must be refused by
+validation, naming the field, and by every solver with
+:class:`InvalidScenarioError`.
 """
 
+import math
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from routegame import (
     EPS,
+    GridSpec,
     InformationStructure,
+    InvalidScenarioError,
     NetworkScenario,
     average_spillover,
+    best_response_equilibrium,
+    grid_search_design,
     lambda_thresholds,
     optimal_design,
     p_bar,
+    recover_strategies,
     solve_equilibrium,
     tau_bounds,
     validate_scenario,
     verify_wardrop,
+)
+from routegame.model import SCENARIO_FIELDS
+
+FULL = InformationStructure.full_revelation()
+SOLVERS = (
+    optimal_design,
+    lambda_thresholds,
+    lambda s: solve_equilibrium(s, FULL),
+    lambda s: verify_wardrop(s, FULL, (0.0, 0.0)),
+    lambda s: recover_strategies(s, (0.0, 0.0)),
+    lambda s: best_response_equilibrium(s, FULL, GridSpec()),
+    lambda s: grid_search_design(s, GridSpec(steps_pi=3)),
 )
 
 unit = st.floats(0.0, 1.0)
 
 
 @st.composite
-def edge_scenarios(draw) -> NetworkScenario:
+def edge_scenarios(draw, fraction_thresholds: bool = True) -> NetworkScenario:
     """Slopes and free-flow times as in ``conftest.random_scenario``, with
     ``b1``, ``b2``, ``demand`` and ``tau`` scaled by ``10**k``, and ``p``,
-    ``tau`` and ``lambda_`` drawn at or between the ends of their ranges."""
+    ``tau`` and ``lambda_`` drawn at or between the ends of their ranges
+    (for ``lambda_`` also at ``lambda_thresholds`` if ``fraction_thresholds``)."""
     a1n = draw(st.floats(0.5, 2.0))
     a2 = a1n * draw(st.floats(1.2, 2.5))
     a1a = a2 * draw(st.floats(1.2, 2.5))
@@ -51,7 +73,8 @@ def edge_scenarios(draw) -> NetworkScenario:
         p = draw(unit)
     s = replace(s, tau=tau, p=p)
 
-    lam = draw(st.sampled_from([0.0, 1.0, "low", "high", None]))
+    ends = [0.0, 1.0, "low", "high", None] if fraction_thresholds else [0.0, 1.0, None]
+    lam = draw(st.sampled_from(ends))
     if lam in ("low", "high"):
         lam = lambda_thresholds(s)[lam == "high"] if s.p > p_bar(s) + EPS else None
     if lam is None:
@@ -72,3 +95,18 @@ def test_edge_scenarios_solve_within_baselines(s):
     )
     slack = EPS * s.demand
     assert -slack <= sol.loss <= min(baselines) + slack
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    edge_scenarios(fraction_thresholds=False),
+    st.sampled_from(SCENARIO_FIELDS),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+)
+def test_non_finite_field_is_refused(s, name, value):
+    s = replace(s, **{name: value})
+    violations = validate_scenario(s).violations
+    assert any(v.startswith(name + " ") for v in violations), violations
+    for solve in SOLVERS:
+        with pytest.raises(InvalidScenarioError):
+            solve(s)

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from routegame import (
     InvalidScenarioError,
     best_response_equilibrium,
     mean_slope,
+    optimal_design,
     partition_value,
     posterior_beliefs,
     recover_strategies,
@@ -22,6 +24,11 @@ from routegame import (
 
 FULL = InformationStructure.full_revelation()
 UNINFORMATIVE = InformationStructure(0.5, 0.5)
+
+# sha256 over the reprs of the solve_equilibrium and optimal_design records of
+# test_records_are_bit_pinned's seeded battery, taken before the closed forms
+# were rewritten as one straight-line solve.
+PINNED_RECORDS_SHA256 = "1f3434b5e654e247936c536701e9df8d5d2d8e0c983165297122d38d73e4c84e"
 
 
 class TestPosteriorBeliefs:
@@ -209,6 +216,20 @@ class TestSolveEquilibrium:
             f2n, f2a = best_response_equilibrium(s, pi, spec)
             assert f2n == pytest.approx(out.f2_given_n, abs=1e-6 * s.demand)
             assert f2a == pytest.approx(out.f2_given_a, abs=1e-6 * s.demand)
+
+    def test_records_are_bit_pinned(self):
+        # every float expression of the closed forms keeps its operands,
+        # order and association; every tenth draw at lambda_ 0 and at 1
+        rng = np.random.default_rng(6)
+        digest = hashlib.sha256()
+        for i in range(2000):
+            s = random_scenario(rng, persuasion=i % 2 == 1)
+            if i % 10 in (3, 7):
+                s = replace(s, lambda_=float(i % 10 == 7))
+            pi = random_structure(rng)
+            digest.update(repr(solve_equilibrium(s, pi).to_record()).encode())
+            digest.update(repr(optimal_design(s).to_record()).encode())
+        assert digest.hexdigest() == PINNED_RECORDS_SHA256
 
     def test_record_is_flat_and_complete(self, ex1):
         record = solve_equilibrium(ex1, FULL).to_record()

@@ -67,6 +67,17 @@ class TestValidateScenario:
         assert not report.ok
         assert any(fragment in v for v in report.violations)
 
+    @pytest.mark.parametrize("name", ["alpha1_a", "demand"])
+    def test_infinite_field_is_reported(self, name):
+        # both validated before, and the design then failed its threshold
+        # ordering check with lambda_low = nan
+        report = validate_scenario(golden_scenario(**{name: math.inf}))
+        assert f"{name} must be finite, got inf" in report.violations
+
+    def test_nan_field_is_reported_as_not_finite(self):
+        report = validate_scenario(golden_scenario(b2=math.nan))
+        assert "b2 must be finite, got nan" in report.violations
+
     def test_demand_violation_also_breaks_tau_position(self):
         # demand=4 shifts the admissible tau window; the demand message must
         # be present regardless of what happens to the tau check
