@@ -21,13 +21,10 @@ from .equilibrium import (
     Branch,
     EquilibriumOutcome,
     InfeasibleStrategyError,
-    StrategyProfile,
     VerificationReport,
     average_spillover,
-    mean_slope,
     partition_value,
     posterior_beliefs,
-    recover_strategies,
     solve_equilibrium,
     verify_wardrop,
 )
@@ -78,7 +75,6 @@ __all__ = [
     "Regime",
     "RegimeError",
     "ScenarioParseError",
-    "StrategyProfile",
     "Thresholds",
     "ValidationReport",
     "VerificationReport",
@@ -88,13 +84,11 @@ __all__ = [
     "grid_search_design",
     "lambda_thresholds",
     "load_scenario",
-    "mean_slope",
     "optimal_design",
     "p_bar",
     "parse_scenario",
     "partition_value",
     "posterior_beliefs",
-    "recover_strategies",
     "solve_equilibrium",
     "tau_bounds",
     "validate_scenario",

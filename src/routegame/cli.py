@@ -97,17 +97,9 @@ def _print_json(record: dict[str, object]) -> None:
     print(json.dumps(_round_floats(record), indent=2))
 
 
-def _print_csv(record: dict[str, object]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(record.keys())
-    writer.writerow([_fmt(v) for v in record.values()])
-    sys.stdout.write(buf.getvalue())
-
-
 def _emit(record: dict[str, object], fmt: str) -> None:
     if fmt == "csv":
-        _print_csv(record)
+        _write_csv(list(record), [record], None)
     else:
         _print_json(record)
 
@@ -200,9 +192,10 @@ def run_sweep(request: SweepRequest) -> tuple[list[str], list[dict[str, object]]
     return columns, rows
 
 
-def _write_sweep(
+def _write_csv(
     columns: list[str], rows: list[dict[str, object]], out_path: str | None
 ) -> None:
+    """Write a header and one line per row to ``out_path``, or to stdout if None."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -244,7 +237,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     columns, rows = run_sweep(request)
-    _write_sweep(columns, rows, args.out)
+    _write_csv(columns, rows, args.out)
     if args.out is not None:
         _write_sidecar(request, args.out)
     return 0

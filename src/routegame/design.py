@@ -112,7 +112,7 @@ def lambda_thresholds(s: NetworkScenario) -> tuple[float, float]:
 
 
 def _terms(s: NetworkScenario) -> tuple[float, float, float]:
-    """``cost_spread``, the prior flow denominator ``prior_d = mean_slope(p) +
+    """``cost_spread``, the prior flow denominator ``prior_d = _slope(p) +
     alpha2`` and ``(D - tau) * prior_d - cost_spread``, the numerator of
     ``lambda_low``, both partial structures and their loss (positive exactly
     when the prior exceeds ``p_bar``)."""

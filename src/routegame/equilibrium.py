@@ -38,10 +38,11 @@ class InfeasibleStrategyError(ValueError):
 class BeliefSystem:
     """Posterior incident probabilities and signal marginals.
 
-    Complements are derived: ``beta_s(n) = 1 - beta_s(a)`` and
-    ``pr_n = 1 - pr_a``.  When a signal has zero probability its posterior
-    is the prior, which keeps downstream quantities well defined and
-    continuous as the structure approaches degeneracy.
+    Only the incident posteriors are stored; the nominal ones are their
+    complements, ``beta_s(n) = 1 - beta_s(a)``, and ``pr_n = 1 - pr_a``.
+    When a signal has zero probability its posterior is the prior, which
+    keeps downstream quantities well defined and continuous as the
+    structure approaches degeneracy.
     """
 
     beta_a_of_a: float
@@ -49,13 +50,12 @@ class BeliefSystem:
     pr_a: float
 
     def __post_init__(self) -> None:
-        a, n, hi = self.beta_a_of_a, self.beta_n_of_a, 1.0 + EPS
-        if -EPS <= a <= hi and -EPS <= n <= hi and -EPS <= self.pr_a <= hi and a >= n - EPS:
-            return
-        for name in ("beta_a_of_a", "beta_n_of_a", "pr_a"):
-            v = getattr(self, name)
-            if not -EPS <= v <= 1.0 + EPS:
-                raise DomainError(f"{name} must lie in [0, 1], got {v!r}")
+        if not -EPS <= self.beta_a_of_a <= 1.0 + EPS:
+            raise DomainError(f"beta_a_of_a must lie in [0, 1], got {self.beta_a_of_a!r}")
+        if not -EPS <= self.beta_n_of_a <= 1.0 + EPS:
+            raise DomainError(f"beta_n_of_a must lie in [0, 1], got {self.beta_n_of_a!r}")
+        if not -EPS <= self.pr_a <= 1.0 + EPS:
+            raise DomainError(f"pr_a must lie in [0, 1], got {self.pr_a!r}")
         if self.beta_a_of_a < self.beta_n_of_a - EPS:
             raise DomainError(
                 "posterior ordering violated: "
@@ -65,41 +65,6 @@ class BeliefSystem:
     @property
     def pr_n(self) -> float:
         return 1.0 - self.pr_a
-
-    @property
-    def beta_a_of_n(self) -> float:
-        return 1.0 - self.beta_a_of_a
-
-    @property
-    def beta_n_of_n(self) -> float:
-        return 1.0 - self.beta_n_of_a
-
-
-@dataclass(frozen=True)
-class StrategyProfile:
-    """Per-population route assignment consistent with a flow vector.
-
-    Population 1 conditions on the signal; population 2 cannot.  Route-1
-    masses are derived from the population totals.
-    """
-
-    q1_route2_n: float
-    q1_route2_a: float
-    q2_route2: float
-    pop1_mass: float
-    pop2_mass: float
-
-    @property
-    def q1_route1_n(self) -> float:
-        return self.pop1_mass - self.q1_route2_n
-
-    @property
-    def q1_route1_a(self) -> float:
-        return self.pop1_mass - self.q1_route2_a
-
-    @property
-    def q2_route1(self) -> float:
-        return self.pop2_mass - self.q2_route2
 
 
 @dataclass(frozen=True)
@@ -164,20 +129,14 @@ def posterior_beliefs(s: NetworkScenario, pi: InformationStructure) -> BeliefSys
     return BeliefSystem(beta_a_of_a=beta_a, beta_n_of_a=beta_n, pr_a=pr_a)
 
 
-def mean_slope(belief_of_a: float, s: NetworkScenario) -> float:
-    """Expected route-1 congestion slope under an incident belief."""
-    if not -EPS <= belief_of_a <= 1.0 + EPS:
-        raise DomainError(f"belief must lie in [0, 1], got {belief_of_a!r}")
-    return _slope(s, belief_of_a)
-
-
 def _slope(s: NetworkScenario, belief_of_a):
-    """:func:`mean_slope` without the range check, for checked beliefs and arrays."""
+    """Expected route-1 congestion slope under an incident belief in ``[0, 1]``
+    (not checked); pure arithmetic, so it serves scalars and numpy arrays."""
     return s.alpha1_a * belief_of_a + s.alpha1_n * (1.0 - belief_of_a)
 
 
 def _partition(s: NetworkScenario, spread: float, d_n, d_a):
-    """Partition value from the flow denominators ``mean_slope + alpha2`` of the
+    """Partition value from the flow denominators ``_slope + alpha2`` of the
     two signals.
 
     Pure arithmetic, so it serves scalars and numpy arrays alike.
@@ -211,7 +170,7 @@ def solve_equilibrium(s: NetworkScenario, pi: InformationStructure) -> Equilibri
     flows there, so only the label is affected.
 
     Population costs average over the joint state/signal distribution under
-    the canonical decomposition of :func:`recover_strategies`; at equilibrium
+    a canonical decomposition into population strategies; at equilibrium
     every used route costs the same, so the choice does not matter.
     """
     require_valid(s)
@@ -263,13 +222,18 @@ def _solve(s: NetworkScenario, pi: InformationStructure) -> EquilibriumOutcome:
 
 
 def _decompose(s: NetworkScenario, f2_n: float, f2_a: float) -> tuple[float, ...]:
-    """Canonical decomposition of flows in ``[0, demand]``, as the
-    :class:`StrategyProfile` fields ``(q1_n, q1_a, q2, pop1, pop2)``."""
+    """Canonical decomposition of flows in ``[0, demand]``: the route-2 masses
+    ``(q1_n, q1_a, q2)`` of the informed population under each signal and of
+    the uninformed population, then the population masses ``(pop1, pop2)``.
+
+    The choice minimizes ``q1_n`` (then ``q1_a``), which makes outputs
+    deterministic; :class:`InfeasibleStrategyError` if none is nonnegative.
+    """
     demand, lam = s.demand, s.lambda_
     pop1 = lam * demand
     pop2 = (1.0 - lam) * demand
     diff = f2_a - f2_n
-    # Bounds on q1_route2_n from nonnegativity and the population totals.
+    # Bounds on q1_n from nonnegativity and the population totals.
     lo = max(0.0, -diff, f2_n - pop2)
     hi = min(pop1, pop1 - diff, f2_n)
     if lo > hi + EPS * demand:
@@ -277,31 +241,10 @@ def _decompose(s: NetworkScenario, f2_n: float, f2_a: float) -> tuple[float, ...
             f"flows (f2_n={f2_n!r}, f2_a={f2_a!r}) admit no nonnegative "
             f"decomposition at lambda_={lam!r}"
         )
-    q1_n = min(lo, hi)  # canonical: smallest feasible q1_route2_n
+    q1_n = min(lo, hi)  # canonical: smallest feasible q1_n
     q1_a = min(max(q1_n + diff, 0.0), pop1)
     q2 = min(max(f2_n - q1_n, 0.0), pop2)
     return q1_n, q1_a, q2, pop1, pop2
-
-
-def _recover(s: NetworkScenario, f2_n: float, f2_a: float) -> StrategyProfile:
-    slack = EPS * s.demand
-    for name, f in (("f2_n", f2_n), ("f2_a", f2_a)):
-        if f < -slack or f > s.demand + slack:
-            raise DomainError(f"{name} outside [0, demand]: {f!r}")
-    return StrategyProfile(*_decompose(s, f2_n, f2_a))
-
-
-def recover_strategies(s: NetworkScenario, outcome: FlowsLike) -> StrategyProfile:
-    """Decompose per-signal flows into feasible population strategies.
-
-    The decomposition can be under-determined; the canonical choice
-    minimizes the informed mass sent to route 2 under the nominal signal
-    (then under the incident signal), which makes outputs deterministic.
-    Equilibrium costs do not depend on the choice.
-    """
-    require_valid(s)
-    f2_n, f2_a = _flows_of(outcome)
-    return _recover(s, f2_n, f2_a)
 
 
 def _flows_of(outcome: FlowsLike) -> tuple[float, float]:
@@ -328,15 +271,20 @@ def verify_wardrop(
 ) -> VerificationReport:
     """Check the equilibrium conditions on a flow vector.
 
-    Recovers a feasible strategy profile, then requires every used route
-    to have minimal expected cost for its population (conditional on the
-    signal for informed travelers).  Unrepresentable flows are reported as
+    Flows must lie in ``[0, demand]`` (else :class:`DomainError`).  They are
+    decomposed into population strategies, and every used route must have
+    minimal expected cost for its population (conditional on the signal for
+    informed travelers).  Unrepresentable flows are reported as
     infeasible rather than raised, since they certify non-equilibrium.
     """
     require_valid(s)
     f2_n, f2_a = _flows_of(outcome)
+    slack = EPS * s.demand
+    for name, f in (("f2_n", f2_n), ("f2_a", f2_a)):
+        if f < -slack or f > s.demand + slack:
+            raise DomainError(f"{name} outside [0, demand]: {f!r}")
     try:
-        profile = _recover(s, f2_n, f2_a)
+        q1_n, q1_a, q2, pop1, pop2 = _decompose(s, f2_n, f2_a)
     except InfeasibleStrategyError as exc:
         return VerificationReport(feasible=False, violations=(str(exc),), max_gap=float("inf"))
 
@@ -353,9 +301,9 @@ def verify_wardrop(
     max_gap = 0.0
 
     units = (
-        ("population 1 / signal n", profile.q1_route1_n, profile.q1_route2_n, c1_n, c2_n),
-        ("population 1 / signal a", profile.q1_route1_a, profile.q1_route2_a, c1_a, c2_a),
-        ("population 2", profile.q2_route1, profile.q2_route2, e2_r1, e2_r2),
+        ("population 1 / signal n", pop1 - q1_n, q1_n, c1_n, c2_n),
+        ("population 1 / signal a", pop1 - q1_a, q1_a, c1_a, c2_a),
+        ("population 2", pop2 - q2, q2, e2_r1, e2_r2),
     )
     for label, on_r1, on_r2, cost_r1, cost_r2 in units:
         best = min(cost_r1, cost_r2)

@@ -115,13 +115,10 @@ class InformationStructure:
     pi_n_given_n: float
 
     def __post_init__(self) -> None:
-        aa, nn, hi = self.pi_a_given_a, self.pi_n_given_n, 1.0 + EPS
-        if -EPS <= aa <= hi and -EPS <= nn <= hi and nn >= 1.0 - aa - EPS:
-            return
-        for name in ("pi_a_given_a", "pi_n_given_n"):
-            v = getattr(self, name)
-            if not -EPS <= v <= 1.0 + EPS:
-                raise DomainError(f"{name} must lie in [0, 1], got {v!r}")
+        if not -EPS <= self.pi_a_given_a <= 1.0 + EPS:
+            raise DomainError(f"pi_a_given_a must lie in [0, 1], got {self.pi_a_given_a!r}")
+        if not -EPS <= self.pi_n_given_n <= 1.0 + EPS:
+            raise DomainError(f"pi_n_given_n must lie in [0, 1], got {self.pi_n_given_n!r}")
         if self.pi_n_given_n < 1.0 - self.pi_a_given_a - EPS:
             raise DomainError(
                 "infeasible signal distribution: requires "
@@ -168,8 +165,10 @@ def validate_scenario(s: NetworkScenario) -> ValidationReport:
     Solvers refuse scenarios whose report is non-empty; this function
     never raises.  Slopes, free-flow times, ``demand`` and ``tau`` must be
     positive and finite.  ``tau`` must lie in ``tau_bounds(s)``, the upper
-    bound loosened by ``EPS * demand``; the lower bound is exact, because
-    below it the two fraction thresholds invert and no design is consistent.
+    bound loosened by ``EPS * demand`` but kept below ``demand`` (at steep
+    incident slopes the slack would reach it); the lower bound is exact,
+    because below it the two fraction thresholds invert and no design is
+    consistent.
     """
     v: list[str] = []
     positive = ("alpha1_a", "alpha1_n", "alpha2", "b1", "b2", "demand", "tau")
@@ -203,7 +202,7 @@ def validate_scenario(s: NetworkScenario) -> ValidationReport:
         low, high = tau_bounds(s)
         if s.tau < low:
             v.append(f"tau below admissible range: tau={s.tau!r} < {low:.12g}")
-        elif s.tau > high + EPS * s.demand:
+        elif s.tau > high + EPS * s.demand or s.tau >= s.demand:
             v.append(f"tau above admissible range: tau={s.tau!r} > {high:.12g}")
 
     return ValidationReport(tuple(v))

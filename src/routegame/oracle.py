@@ -11,7 +11,6 @@ routes is what the test suite leans on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -32,23 +31,30 @@ ITERATION_CAP = 1_000_000
 class GridSpec:
     """Resolution and tolerance knobs for the verification engines.
 
-    ``steps_pi`` is the grid resolution per signal-probability axis,
-    ``steps_flow`` the resolution of the flow grid that restart profiles
-    are drawn from, and ``tol`` the cost-gap convergence tolerance.
+    ``steps_pi`` is the grid resolution per signal-probability axis of
+    :func:`grid_search_design`, and ``tol`` the cost-gap convergence
+    tolerance of the dynamics.  The restart profiles of
+    :func:`best_response_equilibrium` are fixed (``_START_FRACTIONS``).
     """
 
     steps_pi: int = 201
-    steps_flow: int = 11
     tol: float = 1e-9
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.steps_pi < 2:
             raise DomainError(f"steps_pi must be at least 2, got {self.steps_pi!r}")
-        if self.steps_flow < 1:
-            raise DomainError(f"steps_flow must be at least 1, got {self.steps_flow!r}")
         if not self.tol > 0:
             raise DomainError(f"tol must be positive, got {self.tol!r}")
+
+
+# Initial route-2 shares, read-only: rows are decision units, columns
+# restarts (three fixed corners, then two profiles from an 11-point grid on
+# [0, 1], at the indices np.random.default_rng(0).integers(0, 11, (2, 3))
+# draws; written out so that importing the oracle never loads numpy.random).
+_START_FRACTIONS = np.vstack(
+    [[[0.0] * 3, [1.0] * 3, [0.5] * 3], np.linspace(0.0, 1.0, 11)[[[9, 7, 5], [2, 3, 0]]]]
+).T
+_START_FRACTIONS.flags.writeable = False
 
 
 def _populations(s: NetworkScenario) -> np.ndarray:
@@ -129,21 +135,6 @@ def _dynamics_batch(
     return out
 
 
-@lru_cache
-def _start_fractions(seed: int, steps_flow: int) -> np.ndarray:
-    """Initial route-2 shares, read-only: rows are decision units, columns
-    restarts (three fixed corners, then two seeded draws from the flow grid)."""
-    fixed = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.5, 0.5, 0.5]])
-    if steps_flow == 1:
-        drawn = np.full((2, 3), 0.5)
-    else:
-        grid = np.linspace(0.0, 1.0, steps_flow)
-        drawn = grid[np.random.default_rng(seed).integers(0, steps_flow, size=(2, 3))]
-    fracs = np.vstack([fixed, drawn]).T
-    fracs.flags.writeable = False
-    return fracs
-
-
 def best_response_equilibrium(
     s: NetworkScenario, pi: InformationStructure, spec: GridSpec
 ) -> tuple[float, float]:
@@ -154,7 +145,7 @@ def best_response_equilibrium(
     """
     require_valid(s)
     beliefs = posterior_beliefs(s, pi)
-    q = _start_fractions(spec.seed, spec.steps_flow) * _populations(s)
+    q = _START_FRACTIONS * _populations(s)
     n = q.shape[1]
     beta = np.full((2, n), [[beliefs.beta_n_of_a], [beliefs.beta_a_of_a]])
     f2n, f2a = _dynamics_batch(s, beta, np.full(n, beliefs.pr_a), q, spec.tol)

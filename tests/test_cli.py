@@ -341,11 +341,10 @@ ALL_NAMES = [
     "EPS", "BeliefSystem", "Branch", "ConvergenceError", "DesignSolution", "DomainError",
     "EquilibriumOutcome", "GridSpec", "InfeasibleStrategyError", "InformationStructure",
     "InvalidScenarioError", "NetworkScenario", "Regime", "RegimeError", "ScenarioParseError",
-    "StrategyProfile", "Thresholds", "ValidationReport", "VerificationReport",
-    "average_spillover", "best_response_equilibrium", "format_scenario", "grid_search_design",
-    "lambda_thresholds", "load_scenario", "mean_slope", "optimal_design", "p_bar",
-    "parse_scenario", "partition_value", "posterior_beliefs", "recover_strategies",
-    "solve_equilibrium", "tau_bounds", "validate_scenario", "verify_wardrop",
+    "Thresholds", "ValidationReport", "VerificationReport", "average_spillover",
+    "best_response_equilibrium", "format_scenario", "grid_search_design", "lambda_thresholds",
+    "load_scenario", "optimal_design", "p_bar", "parse_scenario", "partition_value",
+    "posterior_beliefs", "solve_equilibrium", "tau_bounds", "validate_scenario", "verify_wardrop",
 ]
 
 

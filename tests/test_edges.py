@@ -27,7 +27,6 @@ from routegame import (
     lambda_thresholds,
     optimal_design,
     p_bar,
-    recover_strategies,
     solve_equilibrium,
     tau_bounds,
     validate_scenario,
@@ -41,7 +40,6 @@ SOLVERS = (
     lambda_thresholds,
     lambda s: solve_equilibrium(s, FULL),
     lambda s: verify_wardrop(s, FULL, (0.0, 0.0)),
-    lambda s: recover_strategies(s, (0.0, 0.0)),
     lambda s: best_response_equilibrium(s, FULL, GridSpec()),
     lambda s: grid_search_design(s, GridSpec(steps_pi=3)),
 )

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -6,18 +7,16 @@ import pytest
 
 from conftest import golden_scenario, random_scenario, random_structure
 from routegame import (
+    BeliefSystem,
     Branch,
     DomainError,
     GridSpec,
-    InfeasibleStrategyError,
     InformationStructure,
     InvalidScenarioError,
     best_response_equilibrium,
-    mean_slope,
     optimal_design,
     partition_value,
     posterior_beliefs,
-    recover_strategies,
     solve_equilibrium,
     verify_wardrop,
 )
@@ -72,19 +71,36 @@ class TestPosteriorBeliefs:
             assert b.beta_a_of_a >= b.beta_n_of_a - 1e-12
 
 
-class TestMeanSlope:
-    def test_degenerate_belief(self, ex1):
-        assert mean_slope(1.0, ex1) == pytest.approx(3.0)
+class TestBeliefSystem:
+    # the exact messages, one per condition in checking order
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((-0.1, 0.5, 0.5), "beta_a_of_a must lie in [0, 1], got -0.1"),
+            ((1.1, 0.5, 0.5), "beta_a_of_a must lie in [0, 1], got 1.1"),
+            ((math.nan, 0.5, 0.5), "beta_a_of_a must lie in [0, 1], got nan"),
+            ((0.5, -0.1, 0.5), "beta_n_of_a must lie in [0, 1], got -0.1"),
+            ((0.5, 1.1, 0.5), "beta_n_of_a must lie in [0, 1], got 1.1"),
+            ((0.5, math.nan, 0.5), "beta_n_of_a must lie in [0, 1], got nan"),
+            ((0.5, 0.5, -0.1), "pr_a must lie in [0, 1], got -0.1"),
+            ((0.5, 0.5, 1.1), "pr_a must lie in [0, 1], got 1.1"),
+            ((0.5, 0.5, math.nan), "pr_a must lie in [0, 1], got nan"),
+            ((-0.1, 1.1, 0.5), "beta_a_of_a must lie in [0, 1], got -0.1"),
+            (
+                (0.2, 0.5, 0.3),
+                "posterior ordering violated: beta_a_of_a=0.2 < beta_n_of_a=0.5",
+            ),
+        ],
+    )
+    def test_domain_error_text(self, args, message):
+        with pytest.raises(DomainError) as info:
+            BeliefSystem(*args)
+        assert str(info.value) == message
 
-    def test_prior_belief(self, ex1):
-        assert mean_slope(0.3, ex1) == pytest.approx(1.6)
-
-    def test_saturated_nominal_belief(self, ex1):
-        assert mean_slope(1.0 / 6.0, ex1) == pytest.approx(4.0 / 3.0)
-
-    def test_out_of_range_belief_rejected(self, ex1):
-        with pytest.raises(DomainError):
-            mean_slope(1.5, ex1)
+    def test_bounds_admit_eps_slack(self):
+        b = BeliefSystem(1.0 + 1e-10, -1e-10, 0.0)
+        assert b.pr_n == 1.0
+        BeliefSystem(0.5, 0.5 + 1e-10, 1.0)  # ordering tie within EPS
 
 
 class TestPartitionValue:
@@ -171,9 +187,10 @@ class TestSolveEquilibrium:
 
         b = posterior_beliefs(ex1, pi)
         spread = ex1.cost_spread
-        d_a = mean_slope(b.beta_a_of_a, ex1) + ex1.alpha2
-        d_n = mean_slope(b.beta_n_of_a, ex1) + ex1.alpha2
-        d_prior = mean_slope(ex1.p, ex1) + ex1.alpha2
+        a1a, a1n, a2 = ex1.alpha1_a, ex1.alpha1_n, ex1.alpha2
+        d_a = a1a * b.beta_a_of_a + a1n * (1.0 - b.beta_a_of_a) + a2
+        d_n = a1a * b.beta_n_of_a + a1n * (1.0 - b.beta_n_of_a) + a2
+        d_prior = a1a * ex1.p + a1n * (1.0 - ex1.p) + a2
         branch1_n = ex1.demand - (spread + lam * ex1.demand * b.pr_a * d_a) / d_prior
         branch2_n = ex1.demand - spread / d_n
         branch2_a = ex1.demand - spread / d_a
@@ -240,57 +257,6 @@ class TestSolveEquilibrium:
         assert record["branch"] == "informed_switch_all"
 
 
-class TestRecoverStrategies:
-    def test_informed_switch_all_decomposition(self, ex1):
-        s = replace(ex1, lambda_=0.1)
-        out = solve_equilibrium(s, FULL)
-        prof = recover_strategies(s, out)
-        assert prof.q1_route2_n == pytest.approx(0.0, abs=1e-12)
-        assert prof.q1_route2_a == pytest.approx(0.1 * s.demand, abs=1e-12)
-        assert prof.q2_route2 == pytest.approx(out.f2_given_n, abs=1e-12)
-
-    def test_no_informed_population(self, ex1):
-        s = replace(ex1, lambda_=0.0)
-        out = solve_equilibrium(s, UNINFORMATIVE)
-        prof = recover_strategies(s, out)
-        assert prof.pop1_mass == 0.0
-        assert prof.q1_route2_n == 0.0 and prof.q1_route2_a == 0.0
-        assert prof.q2_route2 == pytest.approx(out.f2_given_n)
-
-    def test_everyone_informed(self, ex1):
-        s = replace(ex1, lambda_=1.0)
-        out = solve_equilibrium(s, FULL)
-        prof = recover_strategies(s, out)
-        assert prof.pop2_mass == 0.0
-        assert prof.q2_route2 == 0.0
-        assert prof.q1_route2_n == pytest.approx(out.f2_given_n)
-        assert prof.q1_route2_a == pytest.approx(out.f2_given_a)
-
-    def test_composition_constraints_random(self):
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            s = random_scenario(rng)
-            out = solve_equilibrium(s, random_structure(rng))
-            prof = recover_strategies(s, out)
-            for q in (
-                prof.q1_route2_n, prof.q1_route2_a, prof.q2_route2,
-                prof.q1_route1_n, prof.q1_route1_a, prof.q2_route1,
-            ):
-                assert q >= -1e-9 * s.demand
-            assert prof.q1_route2_n + prof.q2_route2 == pytest.approx(out.f2_given_n)
-            assert prof.q1_route2_a + prof.q2_route2 == pytest.approx(out.f2_given_a)
-
-    def test_unrepresentable_flows_rejected(self, ex1):
-        # the signal gap exceeds the informed mass, so no decomposition exists
-        s = replace(ex1, lambda_=0.1)
-        with pytest.raises(InfeasibleStrategyError):
-            recover_strategies(s, (1.0, 5.0))
-
-    def test_flow_outside_demand_rejected(self, ex1):
-        with pytest.raises(DomainError):
-            recover_strategies(ex1, (-1.0, 2.0))
-
-
 class TestPopulationCosts:
     def test_uninformative_costs_equalize(self, ex1):
         out = solve_equilibrium(ex1, UNINFORMATIVE)
@@ -318,7 +284,7 @@ class TestPopulationCosts:
         out = solve_equilibrium(s, FULL)
         b = out.beliefs
         for f2, beta in ((out.f2_given_n, b.beta_n_of_a), (out.f2_given_a, b.beta_a_of_a)):
-            c1 = mean_slope(beta, s) * (s.demand - f2) + s.b1
+            c1 = (s.alpha1_a * beta + s.alpha1_n * (1.0 - beta)) * (s.demand - f2) + s.b1
             c2 = s.alpha2 * f2 + s.b2
             assert c1 == pytest.approx(c2, abs=1e-9)
 
@@ -360,5 +326,7 @@ class TestVerifyWardrop:
         s = replace(ex1, lambda_=1.5)
         with pytest.raises(InvalidScenarioError):
             verify_wardrop(s, FULL, (2.0, 4.0))
-        with pytest.raises(InvalidScenarioError):
-            recover_strategies(s, (2.0, 4.0))
+
+    def test_flow_outside_demand_rejected(self, ex1):
+        with pytest.raises(DomainError, match=r"^f2_n outside \[0, demand\]: -1\.0$"):
+            verify_wardrop(ex1, FULL, (-1.0, 2.0))

@@ -7,8 +7,11 @@ from routegame import (
     EPS,
     DomainError,
     InformationStructure,
+    InvalidScenarioError,
+    NetworkScenario,
     ScenarioParseError,
     format_scenario,
+    optimal_design,
     parse_scenario,
     tau_bounds,
     validate_scenario,
@@ -78,6 +81,20 @@ class TestValidateScenario:
         report = validate_scenario(golden_scenario(b2=math.nan))
         assert "b2 must be finite, got nan" in report.violations
 
+    def test_tau_at_demand_refused_under_steep_incident_slope(self):
+        # at alpha1_a / alpha2 = 1e10 the upper tau bound plus its slack
+        # EPS * demand passes demand, where p_bar is singular
+        s = NetworkScenario(
+            alpha1_a=1e10, alpha1_n=0.5, alpha2=1.0, b1=1.0, b2=2.0,
+            demand=100.0, p=0.5, lambda_=0.5, tau=100.0,
+        )
+        _, high = tau_bounds(s)
+        assert s.tau <= high + EPS * s.demand
+        report = validate_scenario(s)
+        assert report.violations == (f"tau above admissible range: tau=100.0 > {high:.12g}",)
+        with pytest.raises(InvalidScenarioError):
+            optimal_design(s)
+
     def test_demand_violation_also_breaks_tau_position(self):
         # demand=4 shifts the admissible tau window; the demand message must
         # be present regardless of what happens to the tau check
@@ -102,6 +119,29 @@ class TestInformationStructure:
     def test_out_of_range_rejected(self):
         with pytest.raises(DomainError):
             InformationStructure(1.25, 1.0)
+
+    # the exact messages, one per condition in checking order
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((-0.1, 1.0), "pi_a_given_a must lie in [0, 1], got -0.1"),
+            ((1.1, 1.0), "pi_a_given_a must lie in [0, 1], got 1.1"),
+            ((math.nan, 1.0), "pi_a_given_a must lie in [0, 1], got nan"),
+            ((1.0, -0.1), "pi_n_given_n must lie in [0, 1], got -0.1"),
+            ((1.0, 1.1), "pi_n_given_n must lie in [0, 1], got 1.1"),
+            ((1.0, math.nan), "pi_n_given_n must lie in [0, 1], got nan"),
+            ((-0.1, 0.5), "pi_a_given_a must lie in [0, 1], got -0.1"),
+            (
+                (0.2, 0.5),
+                "infeasible signal distribution: requires "
+                "pi_n_given_n >= pi_n_given_a, got 0.5 < 0.8",
+            ),
+        ],
+    )
+    def test_domain_error_text(self, args, message):
+        with pytest.raises(DomainError) as info:
+            InformationStructure(*args)
+        assert str(info.value) == message
 
     def test_named_structures(self):
         full = InformationStructure.full_revelation()

@@ -2,7 +2,7 @@ import csv
 import hashlib
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -57,8 +57,9 @@ class TestGridSpec:
     def test_defaults(self):
         spec = GridSpec()
         assert spec.steps_pi == 201 and spec.tol > 0
+        assert [f.name for f in fields(GridSpec)] == ["steps_pi", "tol"]
 
-    @pytest.mark.parametrize("kwargs", [{"steps_pi": 1}, {"steps_flow": 0}, {"tol": 0.0}])
+    @pytest.mark.parametrize("kwargs", [{"steps_pi": 1}, {"tol": float("nan")}, {"tol": 0.0}])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(DomainError):
             GridSpec(**kwargs)
@@ -93,7 +94,7 @@ class TestBestResponseEquilibrium:
             assert report.ok, report.violations
 
     def test_deterministic_for_fixed_seed(self, ex1):
-        spec = GridSpec(tol=1e-9, seed=99)
+        spec = GridSpec()
         first = best_response_equilibrium(ex1, FULL, spec)
         second = best_response_equilibrium(ex1, FULL, spec)
         assert first == second  # bit-identical
