@@ -23,7 +23,6 @@ from .equilibrium import (
     InfeasibleStrategyError,
     VerificationReport,
     average_spillover,
-    partition_value,
     posterior_beliefs,
     solve_equilibrium,
     verify_wardrop,
@@ -87,7 +86,6 @@ __all__ = [
     "optimal_design",
     "p_bar",
     "parse_scenario",
-    "partition_value",
     "posterior_beliefs",
     "solve_equilibrium",
     "tau_bounds",

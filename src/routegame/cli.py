@@ -34,7 +34,14 @@ from .model import (
 )
 
 AXIS_FIELDS = {"lambda": "lambda_", "tau": "tau", "p": "p"}
-OUTPUT_GROUPS = ("pi_star", "flows", "loss", "costs")
+# Sweep columns of each output group, in CSV order.
+OUTPUT_COLUMNS = {
+    "pi_star": ("pi_a_a", "pi_n_n"),
+    "flows": ("f2_n", "f2_a", "f1_n", "f1_a"),
+    "loss": ("loss", "loss_no_info", "loss_full_info"),
+    "costs": ("cost_pop1", "cost_pop2", "cost_avg", "cost_avg_no_info", "cost_avg_full_info"),
+}
+OUTPUT_GROUPS = tuple(OUTPUT_COLUMNS)
 _NO_INFO = InformationStructure.no_information()
 _FULL_INFO = InformationStructure.full_revelation()
 
@@ -124,63 +131,30 @@ def _cmd_design(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_columns(outputs: frozenset[str], axis: str) -> list[str]:
-    cols = [axis, "regime"]
-    if "pi_star" in outputs:
-        cols += ["pi_a_a", "pi_n_n"]
-    if "flows" in outputs:
-        cols += ["f2_n", "f2_a", "f1_n", "f1_a"]
-    if "loss" in outputs:
-        cols += ["loss", "loss_no_info", "loss_full_info"]
-    if "costs" in outputs:
-        cols += [
-            "cost_pop1",
-            "cost_pop2",
-            "cost_avg",
-            "cost_avg_no_info",
-            "cost_avg_full_info",
-        ]
-    cols.append("error")
-    return cols
-
-
 def _sweep_row(request: SweepRequest, s: NetworkScenario, value: float) -> dict[str, object]:
-    row: dict[str, object] = {request.axis: value}
     try:
         solution = optimal_design(s)
     except InvalidScenarioError as exc:
-        row["error"] = "; ".join(exc.report.violations)
-        return row
+        return {request.axis: value, "error": "; ".join(exc.report.violations)}
 
-    row["regime"] = solution.regime.value
-    outputs = request.outputs
-    if "pi_star" in outputs:
-        row["pi_a_a"] = solution.pi_star.pi_a_given_a
-        row["pi_n_n"] = solution.pi_star.pi_n_given_n
-    if "flows" in outputs:
-        out = solution.outcome
+    out = solution.outcome
+    row = solution.to_record()
+    row.update({request.axis: value, "f1_n": out.f1_given_n, "f1_a": out.f1_given_a, "error": ""})
+    if not request.outputs.isdisjoint(("loss", "costs")):
+        no_info, full_info = _solve(s, _NO_INFO), _solve(s, _FULL_INFO)
         row.update(
-            f2_n=out.f2_given_n, f2_a=out.f2_given_a, f1_n=out.f1_given_n, f1_a=out.f1_given_a
+            loss_no_info=average_spillover(s, no_info),
+            loss_full_info=average_spillover(s, full_info),
+            cost_avg_no_info=no_info.cost_avg,
+            cost_avg_full_info=full_info.cost_avg,
         )
-    if "loss" in outputs or "costs" in outputs:
-        no_info = _solve(s, _NO_INFO)
-        full_info = _solve(s, _FULL_INFO)
-    if "loss" in outputs:
-        row["loss"] = solution.loss
-        row["loss_no_info"] = average_spillover(s, no_info)
-        row["loss_full_info"] = average_spillover(s, full_info)
-    if "costs" in outputs:
-        out = solution.outcome
-        row.update(cost_pop1=out.cost_pop1, cost_pop2=out.cost_pop2, cost_avg=out.cost_avg)
-        row["cost_avg_no_info"] = no_info.cost_avg
-        row["cost_avg_full_info"] = full_info.cost_avg
-    row["error"] = ""
     return row
 
 
 def run_sweep(request: SweepRequest) -> tuple[list[str], list[dict[str, object]]]:
     """Evaluate every sweep point; per-point failures land in the error column."""
-    columns = _sweep_columns(request.outputs, request.axis)
+    chosen = (c for g, cols in OUTPUT_COLUMNS.items() if g in request.outputs for c in cols)
+    columns = [request.axis, "regime", *chosen, "error"]
     fields, name = request.scenario.to_dict(), AXIS_FIELDS[request.axis]
     rows = []
     for value in request.axis_values():
@@ -248,7 +222,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
     scenario = load_scenario(args.config)
     try:
-        spec = GridSpec(steps_pi=args.grid, tol=args.tol)
+        spec = GridSpec(steps_pi=args.grid)
     except DomainError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -302,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force the design problem on a grid")
     p.add_argument("config")
     p.add_argument("--grid", type=int, default=101)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--trace", default=None, help="optional per-cell CSV trace path")
     p.set_defaults(handler=_cmd_oracle)
 

@@ -16,13 +16,7 @@ from enum import Enum
 from typing import Optional
 
 from .equilibrium import EquilibriumOutcome, _slope, _solve, average_spillover
-from .model import (
-    EPS,
-    DomainError,
-    InformationStructure,
-    NetworkScenario,
-    require_valid,
-)
+from .model import EPS, InformationStructure, NetworkScenario, require_valid
 
 
 class RegimeError(ValueError):
@@ -79,12 +73,11 @@ def p_bar(s: NetworkScenario) -> float:
     equals the spillover threshold; the admissible tau range keeps it in
     [0, 1].
     """
+    require_valid(s)
     return _p_bar(s, s.cost_spread)
 
 
 def _p_bar(s: NetworkScenario, spread: float) -> float:
-    if s.tau >= s.demand:
-        raise DomainError(f"tau={s.tau!r} must be below demand={s.demand!r}")
     inner = spread / (s.demand - s.tau) - s.alpha2 - s.alpha1_n
     return inner / (s.alpha1_a - s.alpha1_n)
 

@@ -2,7 +2,7 @@
 
 Given a scenario and a signal distribution, the unique equilibrium falls
 into one of two branches.  When the belief gap induced by the two signals
-is large relative to the informed fraction (``partition_value >= lambda_``),
+is large relative to the informed fraction (``g_value >= lambda_``),
 every informed traveler switches route with the signal and the uninformed
 population splits.  Otherwise both populations split and the flows no
 longer depend on the informed fraction.
@@ -136,24 +136,13 @@ def _slope(s: NetworkScenario, belief_of_a):
 
 
 def _partition(s: NetworkScenario, spread: float, d_n, d_a):
-    """Partition value from the flow denominators ``_slope + alpha2`` of the
-    two signals.
+    """Partition value ``g`` from the flow denominators ``_slope + alpha2`` of
+    the two signals: the demand-normalized gap between their split-branch
+    route-2 flows.  ``g >= lambda_`` selects the informed-switch branch.
 
     Pure arithmetic, so it serves scalars and numpy arrays alike.
     """
     return spread / (d_n * s.demand) - spread / (d_a * s.demand)
-
-
-def partition_value(s: NetworkScenario, pi: InformationStructure) -> float:
-    """Demand-normalized gap between the split-branch flows of the two signals.
-
-    Comparing this value against the informed fraction selects the
-    equilibrium branch; it is nonnegative because the incident posterior
-    is higher after the incident signal.
-    """
-    beliefs, a2 = posterior_beliefs(s, pi), s.alpha2
-    d_n, d_a = _slope(s, beliefs.beta_n_of_a) + a2, _slope(s, beliefs.beta_a_of_a) + a2
-    return _partition(s, s.cost_spread, d_n, d_a)
 
 
 def _checked_flow(f: float, demand: float) -> float:

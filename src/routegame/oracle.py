@@ -196,7 +196,7 @@ def grid_search_design(
             )
         Path(trace_path).write_text("\n".join(lines) + "\n")
 
-    ties = np.flatnonzero(losses == losses.min())
-    best = ties[np.lexsort((pn[ties], pa[ties]))[0]]
+    # Cells are in lexicographic (pa, pn) order, so the first minimum breaks ties.
+    best = int(np.argmin(losses))
     best_pi = InformationStructure(float(pa[best]), float(pn[best]))
     return best_pi, float(losses[best])

@@ -22,7 +22,6 @@ from routegame import (
     lambda_thresholds,
     optimal_design,
     p_bar,
-    partition_value,
     posterior_beliefs,
     solve_equilibrium,
     verify_wardrop,
@@ -186,7 +185,7 @@ def test_criterion_8_lemma_suite(ex1):
         for lam in np.linspace(0.0, 1.0, 9):
             s = replace(base, lambda_=float(lam))
             sol = optimal_design(s)
-            if lam < lam_high and partition_value(s, sol.pi_star) < lam - 1e-12:
+            if lam < lam_high and sol.outcome.g_value < lam - 1e-12:
                 informed_branch = False
             if (
                 sol.outcome.f2_given_n < s.tau - 1e-9

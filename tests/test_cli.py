@@ -28,17 +28,34 @@ CHILD_ENV["PYTHONPATH"] = os.pathsep.join(
 )
 
 # sha256 of the CSV and of its .meta.json sidecar for a 101-point sweep of the
-# demo config with all outputs; the tau range includes invalid points.
+# demo config, keyed by (axis, start, stop, output group or None for all
+# groups); the tau range includes invalid points.
 DEMO_SWEEP_DIGESTS = {
-    ("lambda", "0", "1"): (
+    ("lambda", "0", "1", None): (
         "43140c5ba869df3b72f181c4adebc0b62065156a0720e0549a9b9d29db04a6ae",
         "1c92ca346b710ac71898857b13248de62bbcd48576d5a2af9670aa02869ffc88",
     ),
-    ("p", "0", "0.999"): (
+    ("lambda", "0", "1", "costs"): (
+        "0a1b7cd13df04959af73ef225e559e7e2e43287a22b4888925eea6b5896c1a4b",
+        "5152e3745ad645e46ba4804b6f153705af752d7b6e842f8d8ac0ec972af39c58",
+    ),
+    ("lambda", "0", "1", "flows"): (
+        "c106ff3592945630e1b5457109f7119de02870b2446ac26a0f7c8204766485d5",
+        "1aad4b6f1bbb2cf2d63b044d0be6d034d6ec391294b5021106e908a4c796ebab",
+    ),
+    ("lambda", "0", "1", "loss"): (
+        "43d32df56bb8cb20872854e35f03ffe1e0b4e5879947bf23c676736a85251070",
+        "9941ff6049ea0ab132485882e345c8c1c2426075c1fe9a5551278ceae9e3efd3",
+    ),
+    ("lambda", "0", "1", "pi_star"): (
+        "bae2ce9dfca31eab6760bfec79a9040b2281a20dcb6fc35b3401a7a113f65003",
+        "b5ab970028b0caac9393878b9b9f9e21a0939b60ba6f2e9ba6ccb79b4cba5b65",
+    ),
+    ("p", "0", "0.999", None): (
         "97b7bb2e692d5da0640dc12f44f91dc32e31bc31ae1d6db938f6ac0b0b751037",
         "fc03185a336743a0018b835c7b848ba1e50da493029048bd818bfa86e2c29bed",
     ),
-    ("tau", "1", "5"): (
+    ("tau", "1", "5", None): (
         "06bfd191f1a49ccffa159e42709c5beaaf51bba97c28db99d2966ca5b3b54c75",
         "3ae86dd1cd7fcf8a09012b122b06ad2b33cc7c06321d31b65da43f065bd6b578",
     ),
@@ -269,17 +286,23 @@ class TestSweepCommand:
         assert captured.err.startswith("usage error:")
         assert captured.out == ""
 
-    @pytest.mark.parametrize("axis, start, stop", sorted(DEMO_SWEEP_DIGESTS))
-    def test_demo_sweeps_are_byte_pinned(self, tmp_path, axis, start, stop):
+    @pytest.mark.parametrize(
+        "key",
+        [pytest.param(key, id="-".join(filter(None, key))) for key in DEMO_SWEEP_DIGESTS],
+    )
+    def test_demo_sweeps_are_byte_pinned(self, tmp_path, key):
+        axis, start, stop, group = key
         out = tmp_path / f"{axis}.csv"
         argv = ["sweep", str(DEMO_CONFIG), "--axis", axis, "--start", start, "--stop", stop,
                 "--count", "101", "--out", str(out)]
+        if group is not None:
+            argv += ["--outputs", group]
         assert cli.main(argv) == 0
         digests = tuple(
             hashlib.sha256(path.read_bytes()).hexdigest()
             for path in (out, tmp_path / f"{axis}.csv.meta.json")
         )
-        assert digests == DEMO_SWEEP_DIGESTS[axis, start, stop]
+        assert digests == DEMO_SWEEP_DIGESTS[key]
 
     def test_one_validation_per_point(self, tmp_path, monkeypatch):
         calls = Counter()
@@ -325,11 +348,16 @@ class TestOracleCommand:
         assert abs(record["closed_form_gap"]) <= 2.0 * (1.0 / 40.0) * 10.0
         assert record["pi_n_n"] >= 1.0 - 1.0 / 40.0 - 1e-12
 
-    @pytest.mark.parametrize("flag", [("--grid", "1"), ("--tol", "0")])
+    @pytest.mark.parametrize("flag", [("--grid", "1")])
     def test_bad_grid_is_usage_error(self, config, flag):
         result = run_cli("oracle", str(config), *flag)
         assert result.returncode == 2
         assert result.stderr.startswith("usage error:")
+
+    def test_tol_is_not_an_option(self, config):
+        result = run_cli("oracle", str(config), "--tol", "1e-9")
+        assert result.returncode == 2
+        assert "unrecognized arguments: --tol" in result.stderr
 
     def test_trace_file(self, config, tmp_path):
         trace = tmp_path / "trace.csv"
@@ -343,8 +371,8 @@ ALL_NAMES = [
     "InvalidScenarioError", "NetworkScenario", "Regime", "RegimeError", "ScenarioParseError",
     "Thresholds", "ValidationReport", "VerificationReport", "average_spillover",
     "best_response_equilibrium", "format_scenario", "grid_search_design", "lambda_thresholds",
-    "load_scenario", "optimal_design", "p_bar", "parse_scenario", "partition_value",
-    "posterior_beliefs", "solve_equilibrium", "tau_bounds", "validate_scenario", "verify_wardrop",
+    "load_scenario", "optimal_design", "p_bar", "parse_scenario", "posterior_beliefs",
+    "solve_equilibrium", "tau_bounds", "validate_scenario", "verify_wardrop",
 ]
 
 

@@ -7,15 +7,16 @@ from conftest import golden_scenario, random_scenario
 from routegame import (
     InformationStructure,
     InvalidScenarioError,
+    NetworkScenario,
     Regime,
     RegimeError,
     average_spillover,
     lambda_thresholds,
     optimal_design,
     p_bar,
-    partition_value,
     solve_equilibrium,
     tau_bounds,
+    validate_scenario,
 )
 
 
@@ -35,10 +36,14 @@ class TestPBar:
         assert p_bar(golden_scenario(tau=high)) == pytest.approx(1.0, abs=1e-12)
 
     def test_tau_at_demand_is_singular(self, ex1):
-        from routegame import DomainError
-
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidScenarioError):
             p_bar(golden_scenario(tau=ex1.demand))
+
+    @pytest.mark.parametrize("overrides", [{"alpha1_a": 1.0}, {"tau": 9.0}])
+    def test_invalid_scenario_is_refused(self, overrides):
+        # equal route-1 slopes make p_bar divide by zero; tau above its range puts it above 1
+        with pytest.raises(InvalidScenarioError):
+            p_bar(golden_scenario(**overrides))
 
 
 class TestLambdaThresholds:
@@ -68,6 +73,33 @@ class TestLambdaThresholds:
             s = random_scenario(rng, persuasion=True)
             lam_low, lam_high = lambda_thresholds(s)
             assert 0.0 < lam_low < lam_high < 1.0
+
+
+# Valid scenarios with tau exactly tau_bounds(s)[0] and p = 1e-9: the
+# thresholds coincide analytically, but lambda_low divides a cancelled
+# difference by p, so it overshoots lambda_high by ~1e-7.
+THRESHOLD_ORDERING_DEFECTS = [
+    NetworkScenario(
+        alpha1_a=4.969780522671737, alpha1_n=1.9879122090686947, alpha2=2.4848902613358685,
+        b1=5.0, b2=6.0, demand=1.0060806462559875, p=1e-09, lambda_=0.5,
+        tau=0.223573476945775,
+    ),
+    NetworkScenario(
+        alpha1_a=5.045442889369361, alpha1_n=1.2613607223423402, alpha2=2.5227214446846804,
+        b1=5.0, b2=6.0, demand=1.5855892486377812, p=1e-09, lambda_=0.0,
+        tau=0.26426487477296345,
+    ),
+]
+
+
+@pytest.mark.xfail(raises=ArithmeticError, strict=True, reason="threshold ordering violated")
+@pytest.mark.parametrize("s", THRESHOLD_ORDERING_DEFECTS)
+def test_thresholds_at_tau_low_with_tiny_prior(s):
+    assert validate_scenario(s).ok
+    assert s.tau == tau_bounds(s)[0]
+    low, high = lambda_thresholds(s)
+    assert low == pytest.approx(high, abs=1e-9)
+    optimal_design(s)
 
 
 class TestOptimalDesign:
@@ -249,7 +281,7 @@ class TestStructuralFacts:
             lam = float(rng.uniform(0.0, lam_high * 0.999))
             s = replace(s, lambda_=lam)
             sol = optimal_design(s)
-            assert partition_value(s, sol.pi_star) >= lam - 1e-9
+            assert sol.outcome.g_value >= lam - 1e-9
 
     def test_spillover_probability_below_incident_prior(self, ex1):
         lam_low, _ = lambda_thresholds(ex1)

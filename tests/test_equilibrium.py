@@ -15,7 +15,6 @@ from routegame import (
     InvalidScenarioError,
     best_response_equilibrium,
     optimal_design,
-    partition_value,
     posterior_beliefs,
     solve_equilibrium,
     verify_wardrop,
@@ -105,20 +104,20 @@ class TestBeliefSystem:
 
 class TestPartitionValue:
     def test_uninformative_is_zero(self, ex1):
-        assert partition_value(ex1, UNINFORMATIVE) == pytest.approx(0.0, abs=1e-12)
+        assert solve_equilibrium(ex1, UNINFORMATIVE).g_value == pytest.approx(0.0, abs=1e-12)
 
     def test_full_revelation(self, ex1):
         # 25/30 - 25/50
-        assert partition_value(ex1, FULL) == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert solve_equilibrium(ex1, FULL).g_value == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_saturated_optimum_hits_upper_threshold(self, ex1):
-        g = partition_value(ex1, InformationStructure(8.0 / 15.0, 1.0))
+        g = solve_equilibrium(ex1, InformationStructure(8.0 / 15.0, 1.0)).g_value
         assert g == pytest.approx(0.25, abs=1e-12)
 
     def test_nonnegative_random(self, ex1):
         rng = np.random.default_rng(3)
         for _ in range(200):
-            assert partition_value(ex1, random_structure(rng)) >= -1e-12
+            assert solve_equilibrium(ex1, random_structure(rng)).g_value >= -1e-12
 
 
 class TestSolveEquilibrium:
@@ -177,12 +176,12 @@ class TestSolveEquilibrium:
         lo, hi = 1e-6, 1.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if partition_value(ex1, InformationStructure(mid, 1.0)) < lam:
+            if solve_equilibrium(ex1, InformationStructure(mid, 1.0)).g_value < lam:
                 lo = mid
             else:
                 hi = mid
         pi = InformationStructure(0.5 * (lo + hi), 1.0)
-        g = partition_value(ex1, pi)
+        g = solve_equilibrium(ex1, pi).g_value
         assert g == pytest.approx(lam, abs=1e-9)
 
         b = posterior_beliefs(ex1, pi)
@@ -212,7 +211,7 @@ class TestSolveEquilibrium:
 
     def test_split_branch_ignores_fraction(self, ex1):
         pi = InformationStructure(0.6, 0.9)
-        g = partition_value(ex1, pi)
+        g = solve_equilibrium(ex1, pi).g_value
         flows = None
         for lam in np.linspace(g + 0.05, 1.0, 7):
             out = solve_equilibrium(replace(ex1, lambda_=float(lam)), pi)

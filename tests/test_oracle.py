@@ -17,7 +17,6 @@ from routegame import (
     best_response_equilibrium,
     grid_search_design,
     optimal_design,
-    partition_value,
     solve_equilibrium,
     verify_wardrop,
 )
@@ -182,7 +181,7 @@ class TestGridSearchDesign:
         cells = {tuple(line.split(",")[:2]): line.split(",") for line in lines[1:]}
         row = cells[("1", "1")]
         out = solve_equilibrium(ex1, FULL)
-        assert float(row[2]) == pytest.approx(partition_value(ex1, FULL), abs=1e-6)
+        assert float(row[2]) == pytest.approx(out.g_value, abs=1e-6)
         assert float(row[3]) == pytest.approx(out.f2_given_n, abs=1e-6)
         assert float(row[4]) == pytest.approx(out.f2_given_a, abs=1e-6)
 
@@ -205,4 +204,5 @@ class TestGridSearchDesign:
         assert len(rows) == 66
         for row in rows:
             pi = InformationStructure(float(row["pi_a_a"]), float(row["pi_n_n"]))
-            assert float(row["g_value"]) == pytest.approx(partition_value(ex1, pi), abs=1e-11)
+            g = solve_equilibrium(ex1, pi).g_value
+            assert float(row["g_value"]) == pytest.approx(g, abs=1e-11)
