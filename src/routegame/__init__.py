@@ -7,41 +7,10 @@ brute-force engines that verify both against nothing but the equilibrium
 conditions.
 """
 
-from .design import (
-    DesignSolution,
-    Regime,
-    RegimeError,
-    Thresholds,
-    lambda_thresholds,
-    optimal_design,
-    p_bar,
-)
-from .equilibrium import (
-    BeliefSystem,
-    Branch,
-    EquilibriumOutcome,
-    InfeasibleStrategyError,
-    VerificationReport,
-    average_spillover,
-    posterior_beliefs,
-    solve_equilibrium,
-    verify_wardrop,
-)
-from .model import (
-    EPS,
-    ConvergenceError,
-    DomainError,
-    InformationStructure,
-    InvalidScenarioError,
-    NetworkScenario,
-    ScenarioParseError,
-    ValidationReport,
-    format_scenario,
-    load_scenario,
-    parse_scenario,
-    tau_bounds,
-    validate_scenario,
-)
+from . import design, equilibrium, model
+from .design import *
+from .equilibrium import *
+from .model import *
 
 __version__ = "0.1.0"
 
@@ -58,37 +27,4 @@ def __getattr__(name: str) -> object:
     return value
 
 
-__all__ = [
-    "EPS",
-    "BeliefSystem",
-    "Branch",
-    "ConvergenceError",
-    "DesignSolution",
-    "DomainError",
-    "EquilibriumOutcome",
-    "GridSpec",
-    "InfeasibleStrategyError",
-    "InformationStructure",
-    "InvalidScenarioError",
-    "NetworkScenario",
-    "Regime",
-    "RegimeError",
-    "ScenarioParseError",
-    "Thresholds",
-    "ValidationReport",
-    "VerificationReport",
-    "average_spillover",
-    "best_response_equilibrium",
-    "format_scenario",
-    "grid_search_design",
-    "lambda_thresholds",
-    "load_scenario",
-    "optimal_design",
-    "p_bar",
-    "parse_scenario",
-    "posterior_beliefs",
-    "solve_equilibrium",
-    "tau_bounds",
-    "validate_scenario",
-    "verify_wardrop",
-]
+__all__ = [*model.__all__, *equilibrium.__all__, *design.__all__, *_ORACLE_NAMES]

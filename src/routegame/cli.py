@@ -184,7 +184,7 @@ def _write_csv(
 def _write_sidecar(request: SweepRequest, out_path: str) -> None:
     meta = {
         "tool": f"routegame {__version__}",
-        "scenario": _round_floats(request.scenario.to_dict()),
+        "scenario": request.scenario.to_dict(),
         "sweep": {
             "axis": request.axis,
             "start": request.start,

@@ -18,6 +18,11 @@ from typing import Optional
 from .equilibrium import EquilibriumOutcome, _slope, _solve, average_spillover
 from .model import EPS, InformationStructure, NetworkScenario, require_valid
 
+__all__ = [
+    "DesignSolution", "Regime", "RegimeError", "Thresholds", "lambda_thresholds",
+    "optimal_design", "p_bar",
+]
+
 
 class RegimeError(ValueError):
     """A threshold was requested outside the regime where it is defined."""

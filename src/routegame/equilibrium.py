@@ -22,6 +22,12 @@ from .model import (
     require_valid,
 )
 
+__all__ = [
+    "BeliefSystem", "Branch", "EquilibriumOutcome", "InfeasibleStrategyError",
+    "VerificationReport", "average_spillover", "posterior_beliefs", "solve_equilibrium",
+    "verify_wardrop",
+]
+
 
 class Branch(Enum):
     """Which equilibrium branch the flows follow."""
@@ -260,17 +266,18 @@ def verify_wardrop(
 ) -> VerificationReport:
     """Check the equilibrium conditions on a flow vector.
 
-    Flows must lie in ``[0, demand]`` (else :class:`DomainError`).  They are
-    decomposed into population strategies, and every used route must have
-    minimal expected cost for its population (conditional on the signal for
-    informed travelers).  Unrepresentable flows are reported as
-    infeasible rather than raised, since they certify non-equilibrium.
+    Flows must lie in ``[0, demand]``, which no NaN does (else
+    :class:`DomainError`).  They are decomposed into population strategies,
+    and every used route must have minimal expected cost for its population
+    (conditional on the signal for informed travelers).  Unrepresentable
+    flows are reported as infeasible rather than raised, since they certify
+    non-equilibrium.
     """
     require_valid(s)
     f2_n, f2_a = _flows_of(outcome)
     slack = EPS * s.demand
     for name, f in (("f2_n", f2_n), ("f2_a", f2_a)):
-        if f < -slack or f > s.demand + slack:
+        if not -slack <= f <= s.demand + slack:
             raise DomainError(f"{name} outside [0, demand]: {f!r}")
     try:
         q1_n, q1_a, q2, pop1, pop2 = _decompose(s, f2_n, f2_a)

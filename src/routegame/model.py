@@ -12,8 +12,14 @@ on route 2 in excess of the threshold ``tau``.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+
+__all__ = [
+    "EPS", "ConvergenceError", "DomainError", "InformationStructure", "InvalidScenarioError",
+    "NetworkScenario", "ScenarioParseError", "ValidationReport", "load_scenario",
+    "parse_scenario", "tau_bounds", "validate_scenario",
+]
 
 EPS = 1e-9
 """Absolute tolerance for comparisons of normalized quantities.
@@ -221,7 +227,7 @@ def require_valid(s: NetworkScenario) -> None:
 # field, `#` comments allowed.  Exactly the nine field names of
 # NetworkScenario are accepted.
 
-SCENARIO_FIELDS = ("alpha1_a", "alpha1_n", "alpha2", "b1", "b2", "demand", "p", "lambda_", "tau")
+SCENARIO_FIELDS = tuple(f.name for f in fields(NetworkScenario))
 
 
 def parse_scenario(text: str) -> NetworkScenario:
@@ -252,9 +258,10 @@ def parse_scenario(text: str) -> NetworkScenario:
     return NetworkScenario(**values)
 
 
-def format_scenario(s: NetworkScenario) -> str:
-    return "\n".join(f"{k} = {getattr(s, k):.12g}" for k in SCENARIO_FIELDS) + "\n"
-
-
 def load_scenario(path: str | Path) -> NetworkScenario:
-    return parse_scenario(Path(path).read_text())
+    """Read and parse a UTF-8 scenario file; other bytes are a parse error."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(f"not valid UTF-8 at byte {exc.start}: {exc.reason}") from None
+    return parse_scenario(text)

@@ -188,13 +188,14 @@ def grid_search_design(
     if trace_path is not None:
         d_n, d_a = _slope(s, beta_n) + s.alpha2, _slope(s, beta_a) + s.alpha2
         g = _partition(s, s.cost_spread, d_n, d_a)
-        lines = ["pi_a_a,pi_n_n,g_value,f2_n,f2_a,loss"]
-        for i in range(pa.shape[0]):
-            lines.append(
-                f"{pa[i]:.12g},{pn[i]:.12g},{g[i]:.12g},"
-                f"{f2n[i]:.12g},{f2a[i]:.12g},{losses[i]:.12g}"
-            )
-        Path(trace_path).write_text("\n".join(lines) + "\n")
+        np.savetxt(
+            trace_path,
+            np.column_stack([pa, pn, g, f2n, f2a, losses]),
+            fmt="%.12g",
+            delimiter=",",
+            header="pi_a_a,pi_n_n,g_value,f2_n,f2_a,loss",
+            comments="",
+        )
 
     # Cells are in lexicographic (pa, pn) order, so the first minimum breaks ties.
     best = int(np.argmin(losses))

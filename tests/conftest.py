@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,10 @@ GOLDEN = NetworkScenario(
     lambda_=0.2,
     tau=2.5,
 )
+
+
+# The demo config file holds the golden scenario.
+DEMO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "demo_network.cfg"
 
 
 def golden_scenario(**overrides) -> NetworkScenario:

@@ -10,15 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import golden_scenario
+from conftest import DEMO_CONFIG, golden_scenario
 import routegame
 from routegame import cli, equilibrium, model
-from routegame import (
-    format_scenario, optimal_design, solve_equilibrium, tau_bounds, InformationStructure,
-)
+from routegame import optimal_design, solve_equilibrium, tau_bounds, InformationStructure
 
-CONFIG_TEXT = format_scenario(golden_scenario())
-DEMO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "demo_network.cfg"
+CONFIG_TEXT = DEMO_CONFIG.read_text()
 # Child processes import the routegame this process imported, so the CLI
 # tests also run in a checkout that is not installed.
 PACKAGE_ROOT = str(Path(routegame.__file__).resolve().parents[1])
@@ -148,7 +145,7 @@ class TestDesignCommand:
 
     def test_infinite_demand_is_invalid_scenario(self, tmp_path):
         path = tmp_path / "infdemand.cfg"
-        path.write_text(CONFIG_TEXT.replace("demand = 10\n", "demand = inf\n"))
+        path.write_text(CONFIG_TEXT.replace("demand = 10.0\n", "demand = inf\n"))
         result = run_cli("design", str(path))
         assert result.returncode == 1
         assert "invalid scenario" in result.stderr
@@ -365,14 +362,17 @@ class TestOracleCommand:
         assert trace.read_text().startswith("pi_a_a,pi_n_n,g_value")
 
 
+# model, equilibrium, design, then the lazily imported oracle names.
 ALL_NAMES = [
-    "EPS", "BeliefSystem", "Branch", "ConvergenceError", "DesignSolution", "DomainError",
-    "EquilibriumOutcome", "GridSpec", "InfeasibleStrategyError", "InformationStructure",
-    "InvalidScenarioError", "NetworkScenario", "Regime", "RegimeError", "ScenarioParseError",
-    "Thresholds", "ValidationReport", "VerificationReport", "average_spillover",
-    "best_response_equilibrium", "format_scenario", "grid_search_design", "lambda_thresholds",
-    "load_scenario", "optimal_design", "p_bar", "parse_scenario", "posterior_beliefs",
-    "solve_equilibrium", "tau_bounds", "validate_scenario", "verify_wardrop",
+    "EPS", "ConvergenceError", "DomainError", "InformationStructure", "InvalidScenarioError",
+    "NetworkScenario", "ScenarioParseError", "ValidationReport", "load_scenario",
+    "parse_scenario", "tau_bounds", "validate_scenario",
+    "BeliefSystem", "Branch", "EquilibriumOutcome", "InfeasibleStrategyError",
+    "VerificationReport", "average_spillover", "posterior_beliefs", "solve_equilibrium",
+    "verify_wardrop",
+    "DesignSolution", "Regime", "RegimeError", "Thresholds", "lambda_thresholds",
+    "optimal_design", "p_bar",
+    "GridSpec", "best_response_equilibrium", "grid_search_design",
 ]
 
 
@@ -417,9 +417,19 @@ class TestUsageErrors:
     def test_unknown_command(self):
         assert run_cli("frobnicate").returncode == 2
 
-    def test_garbled_config_is_parse_error(self, tmp_path):
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"alpha1_a = fast\n", "invalid number"),
+            (b"alpha1_a = 3.0\xff\n", "not valid UTF-8 at byte 14"),
+        ],
+        ids=["bad-number", "not-utf8"],
+    )
+    def test_garbled_config_is_parse_error(self, tmp_path, content, message):
         path = tmp_path / "garbled.cfg"
-        path.write_text("alpha1_a = fast\n")
+        path.write_bytes(content)
         result = run_cli("validate", str(path))
         assert result.returncode == 2
-        assert "invalid number" in result.stderr
+        assert "parse error" in result.stderr
+        assert message in result.stderr
+        assert "Traceback" not in result.stderr

@@ -326,6 +326,16 @@ class TestVerifyWardrop:
         with pytest.raises(InvalidScenarioError):
             verify_wardrop(s, FULL, (2.0, 4.0))
 
-    def test_flow_outside_demand_rejected(self, ex1):
-        with pytest.raises(DomainError, match=r"^f2_n outside \[0, demand\]: -1\.0$"):
-            verify_wardrop(ex1, FULL, (-1.0, 2.0))
+    @pytest.mark.parametrize(
+        "flows, message",
+        [
+            ((-1.0, 2.0), r"^f2_n outside \[0, demand\]: -1\.0$"),
+            ((math.nan, math.nan), r"^f2_n outside \[0, demand\]: nan$"),
+            ((math.nan, 5.0), r"^f2_n outside \[0, demand\]: nan$"),
+            ((5.0 / 3.0, math.nan), r"^f2_a outside \[0, demand\]: nan$"),
+        ],
+        ids=["negative", "nan-nan", "nan-f2_n", "nan-f2_a"],
+    )
+    def test_flow_outside_demand_rejected(self, ex1, flows, message):
+        with pytest.raises(DomainError, match=message):
+            verify_wardrop(ex1, FULL, flows)
