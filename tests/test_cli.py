@@ -384,6 +384,9 @@ class TestLazyOracleImport:
             ("-m", "routegame", "validate", "{cfg}"),
             ("-m", "routegame", "design", "{cfg}"),
             ("-m", "routegame", "equilibrium", "{cfg}", "--pi-aa", "1", "--pi-nn", "1"),
+            # the dynamics are plain Python; only the grid search loads numpy
+            ("-c", "import routegame as r; r.best_response_equilibrium("
+             "r.load_scenario('{cfg}'), r.InformationStructure(0.6, 0.9), r.GridSpec())"),
         ],
     )
     def test_numpy_not_imported(self, config, args):

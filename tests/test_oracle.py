@@ -9,6 +9,7 @@ import pytest
 
 from conftest import golden_scenario, random_scenario, random_structure
 from routegame import (
+    EPS,
     ConvergenceError,
     DomainError,
     GridSpec,
@@ -51,6 +52,38 @@ PINNED_FLOWS = [
     "(1.567879014606399, 1.7794916811221526)",
 ]
 
+# sha256 over the best_response_equilibrium reprs and ConvergenceError texts
+# of _battery_records, taken from the vectorised dynamics this engine
+# replaced.  It covers three tolerances, six iteration caps and one draw
+# whose restarts disagree, so a change to any iterate or error text shows.
+BATTERY_DIGEST = "ae7b263b762cd8049d6f3cd558e0594e487cdfaf78f6a0343947d8169bbdd103"
+
+
+def _battery_records(monkeypatch) -> list[str]:
+    def outcome(s, pi, spec):
+        try:
+            return repr(best_response_equilibrium(s, pi, spec))
+        except ConvergenceError as exc:
+            return f"ConvergenceError: {exc}"
+
+    def draw(rng):
+        return random_scenario(rng), random_structure(rng)
+
+    rng = np.random.default_rng(5)
+    records = []
+    for tol, n in ((1e-9, 100), (1e-6, 25), (1e-11, 25)):
+        records += [outcome(*draw(rng), GridSpec(tol=tol)) for _ in range(n)]
+    for cap in (2, 5, 18, 19, 20, 50):
+        monkeypatch.setattr(oracle_mod, "ITERATION_CAP", cap)
+        records.append(outcome(golden_scenario(), FULL, SPEC))
+        records += [outcome(*draw(rng), SPEC) for _ in range(3)]
+    monkeypatch.undo()
+    rng = np.random.default_rng(1)
+    for _ in range(1360):
+        draw(rng)
+    records.append(outcome(*draw(rng), SPEC))  # restarts disagree by 1.452e-08
+    return records
+
 
 class TestGridSpec:
     def test_defaults(self):
@@ -58,7 +91,7 @@ class TestGridSpec:
         assert spec.steps_pi == 201 and spec.tol > 0
         assert [f.name for f in fields(GridSpec)] == ["steps_pi", "tol"]
 
-    @pytest.mark.parametrize("kwargs", [{"steps_pi": 1}, {"tol": float("nan")}, {"tol": 0.0}])
+    @pytest.mark.parametrize("kwargs", [{"steps_pi": 1}, {"tol": float("nan")}, {"tol": 0.0}, {"tol": float("inf")}])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(DomainError):
             GridSpec(**kwargs)
@@ -110,8 +143,8 @@ class TestBestResponseEquilibrium:
     @pytest.mark.parametrize("cap", [18, 19, 20])
     def test_iteration_cap_after_some_restarts_converged(self, ex1, monkeypatch, cap):
         # on ex1 under full revelation the five restarts converge after 18 to
-        # 21 iterations, so these caps stop the batch after it has dropped
-        # its finished cells
+        # 21 iterations, so these caps stop some restarts after others have
+        # converged, and the error counts only the unconverged ones
         monkeypatch.setattr(oracle_mod, "ITERATION_CAP", cap)
         with pytest.raises(ConvergenceError) as info:
             best_response_equilibrium(ex1, FULL, SPEC)
@@ -128,6 +161,12 @@ class TestBestResponseEquilibrium:
             for _ in range(len(PINNED_FLOWS))
         ]
         assert got == PINNED_FLOWS
+
+    def test_battery_is_bit_pinned(self, monkeypatch):
+        records = _battery_records(monkeypatch)
+        assert sum(r.startswith("ConvergenceError: restarts") for r in records) == 1
+        digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+        assert digest == BATTERY_DIGEST
 
 
 class TestGridSearchDesign:
@@ -190,10 +229,27 @@ class TestGridSearchDesign:
         best_pi, best_loss = grid_search_design(
             ex1, GridSpec(steps_pi=41, tol=1e-9), trace_path=trace
         )
-        assert (best_pi, best_loss) == (InformationStructure(0.675, 1.0), 0.4035937500392356)
+        assert (best_pi, best_loss) == (InformationStructure(0.675, 1.0), 0.4035937499999998)
         assert hashlib.sha256(trace.read_bytes()).hexdigest() == (
-            "d210f49dde7242d9275336694822ed29691935454a6edb7c0cc220df24dd6366"
+            "4dfb617036bee5e39601bc1dc69423af87b3c21adee43f3aadc03f2d0bb47e13"
         )
+
+    def test_traced_flows_match_closed_form(self, ex1, tmp_path):
+        # the bisection runs to float precision, so every traced cell, the
+        # zero-probability-signal corners included, matches the exact solver
+        rng = np.random.default_rng(7)
+        scenarios = [ex1, replace(ex1, lambda_=0.0), replace(ex1, lambda_=1.0)]
+        scenarios += [random_scenario(rng) for _ in range(5)]
+        trace = tmp_path / "cells.csv"
+        for s in scenarios:
+            grid_search_design(s, GridSpec(steps_pi=11), trace_path=trace)
+            rows = list(csv.DictReader(trace.read_text().splitlines()))
+            assert {("0", "1"), ("1", "0")} <= {(r["pi_a_a"], r["pi_n_n"]) for r in rows}
+            for row in rows:
+                pi = InformationStructure(float(row["pi_a_a"]), float(row["pi_n_n"]))
+                out = solve_equilibrium(s, pi)
+                assert abs(float(row["f2_n"]) - out.f2_given_n) <= EPS * s.demand
+                assert abs(float(row["f2_a"]) - out.f2_given_a) <= EPS * s.demand
 
     def test_vectorized_posteriors_match_scalar(self, ex1, tmp_path):
         # the grid engine derives beliefs vectorized; every traced partition
