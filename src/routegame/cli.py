@@ -1,8 +1,8 @@
 """Batch front-end: validate configs, solve, design, sweep, brute-force.
 
 Exit codes: 0 success, 1 domain error (invalid scenario, infeasible
-inputs, oracle non-convergence, or an ``ArithmeticError`` from a solver's
-internal consistency check on a valid scenario), 2 usage or parse error.
+inputs, or an ``ArithmeticError`` from a solver's internal consistency
+check on a valid scenario), 2 usage or parse error.
 Data outputs are byte-stable across runs: numbers use 12 significant
 digits and carry no timestamps; sweep metadata goes to a JSON sidecar
 next to the CSV.
@@ -23,7 +23,6 @@ from . import __version__
 from .design import optimal_design
 from .equilibrium import _solve, average_spillover, solve_equilibrium
 from .model import (
-    ConvergenceError,
     DomainError,
     InformationStructure,
     InvalidScenarioError,
@@ -32,6 +31,7 @@ from .model import (
     load_scenario,
     validate_scenario,
 )
+from .oracle import GridSpec, grid_search_design
 
 AXIS_FIELDS = {"lambda": "lambda_", "tau": "tau", "p": "p"}
 # Sweep columns of each output group, in CSV order.
@@ -218,8 +218,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    from .oracle import GridSpec, grid_search_design
-
     scenario = load_scenario(args.config)
     try:
         spec = GridSpec(steps_pi=args.grid)
@@ -293,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, InvalidScenarioError, ConvergenceError, ArithmeticError) as exc:
+    except (DomainError, InvalidScenarioError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

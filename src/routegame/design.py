@@ -11,12 +11,12 @@ structure independent of the fraction above ``lambda_high``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
 from .equilibrium import EquilibriumOutcome, _slope, _solve, average_spillover
-from .model import EPS, InformationStructure, NetworkScenario, require_valid
+from .model import EPS, InformationStructure, NetworkScenario, require_valid, tau_bounds
 
 __all__ = [
     "DesignSolution", "Regime", "RegimeError", "Thresholds", "lambda_thresholds",
@@ -128,11 +128,25 @@ def _thresholds(s: NetworkScenario, spread: float, excess: float) -> Thresholds:
     incident_d = s.alpha1_a + s.alpha2
     lam_low = excess / (s.demand * s.p * incident_d)
     lam_high = 1.0 - spread / (incident_d * s.demand) - s.tau / s.demand
+    if not -EPS < lam_low <= lam_high + EPS:
+        lam_low = _gap_lambda_low(s, lam_high)
     if not (-EPS < lam_low <= lam_high + EPS and lam_high < 1.0 + EPS):
         raise ArithmeticError(
             f"threshold ordering violated: lambda_low={lam_low!r}, lambda_high={lam_high!r}"
         )
     return Thresholds(p_bar=pb, lambda_low=lam_low, lambda_high=lam_high)
+
+
+def _gap_lambda_low(s: NetworkScenario, lam_high: float) -> float:
+    """``lambda_low`` in the tau-gap form of :func:`lambda_thresholds`.
+
+    ``excess`` cancels near ``tau_low``, and dividing it by a small ``p``
+    magnifies its rounding error; this form cannot exceed ``lam_high``.  It
+    serves only where the ``excess`` form fails its own range check, so
+    every other result keeps its bits.
+    """
+    gap = (1.0 - s.p) * (s.alpha1_n + s.alpha2) * (s.tau - tau_bounds(s)[0])
+    return lam_high - gap / (s.p * s.demand * (s.alpha1_a + s.alpha2))
 
 
 def optimal_design(s: NetworkScenario) -> DesignSolution:
@@ -163,6 +177,11 @@ def optimal_design(s: NetworkScenario) -> DesignSolution:
             scale = (s.demand - s.tau) * incident_d - spread
         pi_aa = excess / (scale * s.p)
         loss = excess / incident_d
+        if not -EPS <= pi_aa <= 1.0 + EPS:
+            lam_low = _gap_lambda_low(s, thresholds.lambda_high)
+            thresholds = replace(thresholds, lambda_low=lam_low)
+            pi_aa = lam_low / min(lam, thresholds.lambda_high)
+            loss = s.p * s.demand * lam_low
     if not -EPS <= pi_aa <= 1.0 + EPS:
         raise ArithmeticError(f"derived signal probability outside [0, 1]: {pi_aa!r}")
     pi_star = InformationStructure(min(max(pi_aa, 0.0), 1.0), 1.0)

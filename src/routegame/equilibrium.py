@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Union
 
 from .model import (
     EPS,
@@ -110,16 +109,12 @@ class EquilibriumOutcome:
 class VerificationReport:
     """Result of checking the equilibrium conditions on a flow vector."""
 
-    feasible: bool
     violations: tuple[str, ...] = ()
     max_gap: float = 0.0
 
     @property
     def ok(self) -> bool:
-        return self.feasible and not self.violations
-
-
-FlowsLike = Union[EquilibriumOutcome, Sequence[float]]
+        return not self.violations
 
 
 def posterior_beliefs(s: NetworkScenario, pi: InformationStructure) -> BeliefSystem:
@@ -242,13 +237,6 @@ def _decompose(s: NetworkScenario, f2_n: float, f2_a: float) -> tuple[float, ...
     return q1_n, q1_a, q2, pop1, pop2
 
 
-def _flows_of(outcome: FlowsLike) -> tuple[float, float]:
-    if isinstance(outcome, EquilibriumOutcome):
-        return outcome.f2_given_n, outcome.f2_given_a
-    f2_n, f2_a = outcome
-    return float(f2_n), float(f2_a)
-
-
 def _signal_costs(
     s: NetworkScenario, m_n: float, m_a: float, f2_n: float, f2_a: float
 ) -> tuple[float, float, float, float]:
@@ -262,19 +250,19 @@ def _signal_costs(
 
 
 def verify_wardrop(
-    s: NetworkScenario, pi: InformationStructure, outcome: FlowsLike
+    s: NetworkScenario, pi: InformationStructure, flows: tuple[float, float]
 ) -> VerificationReport:
-    """Check the equilibrium conditions on a flow vector.
+    """Check the equilibrium conditions on the flow pair ``(f2_n, f2_a)``.
 
     Flows must lie in ``[0, demand]``, which no NaN does (else
     :class:`DomainError`).  They are decomposed into population strategies,
     and every used route must have minimal expected cost for its population
-    (conditional on the signal for informed travelers).  Unrepresentable
-    flows are reported as infeasible rather than raised, since they certify
-    non-equilibrium.
+    (conditional on the signal for informed travelers).  Flows with no
+    nonnegative decomposition certify non-equilibrium: their report carries
+    that message as its violation and ``max_gap = inf``.
     """
     require_valid(s)
-    f2_n, f2_a = _flows_of(outcome)
+    f2_n, f2_a = map(float, flows)
     slack = EPS * s.demand
     for name, f in (("f2_n", f2_n), ("f2_a", f2_a)):
         if not -slack <= f <= s.demand + slack:
@@ -282,7 +270,7 @@ def verify_wardrop(
     try:
         q1_n, q1_a, q2, pop1, pop2 = _decompose(s, f2_n, f2_a)
     except InfeasibleStrategyError as exc:
-        return VerificationReport(feasible=False, violations=(str(exc),), max_gap=float("inf"))
+        return VerificationReport(violations=(str(exc),), max_gap=float("inf"))
 
     beliefs = posterior_beliefs(s, pi)
     m_n, m_a = _slope(s, beliefs.beta_n_of_a), _slope(s, beliefs.beta_a_of_a)
@@ -292,7 +280,6 @@ def verify_wardrop(
     e2_r2 = beliefs.pr_n * c2_n + beliefs.pr_a * c2_a
 
     tol = 1e-7 * s.b2
-    used_eps = EPS * s.demand
     violations: list[str] = []
     max_gap = 0.0
 
@@ -305,12 +292,12 @@ def verify_wardrop(
         best = min(cost_r1, cost_r2)
         for route, mass, cost in (("route 1", on_r1, cost_r1), ("route 2", on_r2, cost_r2)):
             gap = cost - best
-            if mass > used_eps and gap > tol:
+            if mass > slack and gap > tol:
                 max_gap = max(max_gap, gap)
                 violations.append(
                     f"{label}: {route} carries {mass:.6g} at cost gap {gap:.6g}"
                 )
-    return VerificationReport(feasible=True, violations=tuple(violations), max_gap=max_gap)
+    return VerificationReport(violations=tuple(violations), max_gap=max_gap)
 
 
 def average_spillover(s: NetworkScenario, outcome: EquilibriumOutcome) -> float:

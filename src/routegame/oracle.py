@@ -26,6 +26,8 @@ from .model import (
     require_valid,
 )
 
+__all__ = ["GridSpec", "best_response_equilibrium", "grid_search_design"]
+
 ITERATION_CAP = 1_000_000
 
 # Halvings of the uninformed-mass bracket in grid_search_design.  The

@@ -113,7 +113,7 @@ def test_criterion_5_dynamics_equivalence():
             abs(f2n - out.f2_given_n) / s.demand,
             abs(f2a - out.f2_given_a) / s.demand,
         )
-        assert verify_wardrop(s, pi, out).ok
+        assert verify_wardrop(s, pi, (out.f2_given_n, out.f2_given_a)).ok
         assert verify_wardrop(s, pi, (f2n, f2a)).ok
     _report(5, "dynamics equivalence", worst <= 1e-6, f"worst flow gap={worst:.3e} demand units")
 

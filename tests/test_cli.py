@@ -362,7 +362,7 @@ class TestOracleCommand:
         assert trace.read_text().startswith("pi_a_a,pi_n_n,g_value")
 
 
-# model, equilibrium, design, then the lazily imported oracle names.
+# model, equilibrium, design, then oracle names.
 ALL_NAMES = [
     "EPS", "ConvergenceError", "DomainError", "InformationStructure", "InvalidScenarioError",
     "NetworkScenario", "ScenarioParseError", "ValidationReport", "load_scenario",

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import golden_scenario, random_scenario
 from routegame import (
+    EPS,
     InformationStructure,
     InvalidScenarioError,
     NetworkScenario,
@@ -76,8 +77,9 @@ class TestLambdaThresholds:
 
 
 # Valid scenarios with tau exactly tau_bounds(s)[0] and p = 1e-9: the
-# thresholds coincide analytically, but lambda_low divides a cancelled
-# difference by p, so it overshoots lambda_high by ~1e-7.
+# thresholds coincide analytically, but the excess form of lambda_low
+# divides a cancelled difference by p and overshoots lambda_high by ~1e-7;
+# the design falls back to the tau-gap form.
 THRESHOLD_ORDERING_DEFECTS = [
     NetworkScenario(
         alpha1_a=4.969780522671737, alpha1_n=1.9879122090686947, alpha2=2.4848902613358685,
@@ -92,7 +94,6 @@ THRESHOLD_ORDERING_DEFECTS = [
 ]
 
 
-@pytest.mark.xfail(raises=ArithmeticError, strict=True, reason="threshold ordering violated")
 @pytest.mark.parametrize("s", THRESHOLD_ORDERING_DEFECTS)
 def test_thresholds_at_tau_low_with_tiny_prior(s):
     assert validate_scenario(s).ok
@@ -100,6 +101,98 @@ def test_thresholds_at_tau_low_with_tiny_prior(s):
     low, high = lambda_thresholds(s)
     assert low == pytest.approx(high, abs=1e-9)
     optimal_design(s)
+
+
+# Valid scenarios with p_bar near 1e-8 and p above it by less than EPS: the
+# absolute tie slack in the no-persuasion test classes them as ties (loss
+# 0.0), although the realized spillover is large.
+NO_PERSUASION_TIE_DEFECTS = [
+    NetworkScenario(
+        alpha1_a=275373112.2882087, alpha1_n=0.0008332658771197082, alpha2=781.2440207633616,
+        b1=1.0, b2=54269.666301683785, demand=164198156.02204528, p=1.8537881634057073e-08,
+        lambda_=0.7840421821532049, tau=1017677.765723953,
+    ),
+    NetworkScenario(
+        alpha1_a=89159570043.95448, alpha1_n=305.0331887103623, alpha2=2133.01746772139,
+        b1=1.0, b2=211889.22064620338, demand=44023074900.9682, p=1.796348508585977e-09,
+        lambda_=0.06628524526413426, tau=7813315989.969435,
+    ),
+]
+
+
+@pytest.mark.xfail(raises=ArithmeticError, strict=True, reason="absolute no-persuasion tie slack")
+@pytest.mark.parametrize("s", NO_PERSUASION_TIE_DEFECTS)
+def test_prior_just_above_tiny_p_bar_is_persuasion(s):
+    assert validate_scenario(s).ok
+    assert 0.0 < s.p - p_bar(s) <= EPS
+    optimal_design(s)
+
+
+# Valid saturated scenarios with alpha1_a / alpha2 near 1e8: pi_aa lies
+# within 1e-8 of 1, so its rounding moves the route-1 slope under signal n
+# enough that the realized spillover misses the closed-form loss by more
+# than EPS * demand.
+SATURATED_LOSS_DEFECTS = [
+    NetworkScenario(
+        alpha1_a=298741032.7213942, alpha1_n=0.0019382365748945687, alpha2=3.222566353315018,
+        b1=1.0, b2=274776.41197824845, demand=623610523.6626489, p=0.3069000634334967,
+        lambda_=0.9297251563147527, tau=135521055.76541263,
+    ),
+    NetworkScenario(
+        alpha1_a=35286683681.657196, alpha1_n=7.534556256263611, alpha2=406.8519183646606,
+        b1=1.0, b2=48009.24610360009, demand=4098311.0049651917, p=0.8806833342260154,
+        lambda_=0.8268096790382283, tau=2123521.1434164224,
+    ),
+]
+
+
+@pytest.mark.xfail(raises=ArithmeticError, strict=True, reason="closed-form loss self-check")
+@pytest.mark.parametrize("s", SATURATED_LOSS_DEFECTS)
+def test_saturated_design_with_pi_aa_near_one(s):
+    assert validate_scenario(s).ok
+    low, high = lambda_thresholds(s)
+    assert s.lambda_ > high and 0.0 < 1.0 - low / high < 1e-8
+    optimal_design(s)
+
+
+def fuzz_scenarios(rng: np.random.Generator, span_exp: int, count: int):
+    """Valid scenarios with ``b1 = 1`` and ``alpha2``, ``alpha1_a / alpha2 - 1``,
+    ``alpha2 / alpha1_n - 1``, ``b2 - b1`` and the demand margin
+    ``demand * alpha1_n / (b2 - b1) - 1`` log-uniform over ``[1, 10**span_exp]``;
+    ``p`` is log-uniform over ``[1e-9, 1]`` and ``tau`` is ``tau_low``, a
+    uniform interior point or ``tau_high`` with equal odds."""
+    wide = 10.0 ** rng.uniform(0.0, span_exp, (5, count))
+    priors = 10.0 ** rng.uniform(-9.0, 0.0, count)
+    tau_ends = rng.integers(0, 3, count)
+    tau_fracs = rng.uniform(0.0, 1.0, count)
+    fractions = rng.uniform(0.0, 1.0, count)
+    for i in range(count):
+        a2, ratio_a, ratio_n, b_gap, margin = (float(w) for w in wide[:, i])
+        a1n = a2 / (1.0 + ratio_n)
+        b2 = 1.0 + b_gap
+        demand = (b2 - 1.0) / a1n * (1.0 + margin)
+        s = NetworkScenario(
+            a2 * (1.0 + ratio_a), a1n, a2, 1.0, b2, demand,
+            float(priors[i]), float(fractions[i]), 1.0,
+        )
+        low, high = tau_bounds(s)
+        yield replace(s, tau=(low, low + float(tau_fracs[i]) * (high - low), high)[tau_ends[i]])
+
+
+def test_fuzz_designs_pass_their_own_checks():
+    # Only the pinned no-persuasion tie defect above may fail.
+    rng = np.random.default_rng(101)
+    failures = []
+    for span_exp in (0, 3, 6, 8):
+        for s in fuzz_scenarios(rng, span_exp, 2500):
+            assert validate_scenario(s).ok, s
+            try:
+                optimal_design(s)
+            except ArithmeticError as exc:
+                tie = str(exc).startswith("closed-form loss") and s.p - p_bar(s) <= EPS
+                if not tie:
+                    failures.append(f"{s}: {exc}")
+    assert not failures, "\n".join(failures)
 
 
 class TestOptimalDesign:

@@ -85,7 +85,7 @@ def edge_scenarios(draw, fraction_thresholds: bool = True) -> NetworkScenario:
 def test_edge_scenarios_solve_within_baselines(s):
     assert validate_scenario(s).ok
     sol = optimal_design(s)
-    report = verify_wardrop(s, sol.pi_star, sol.outcome)
+    report = verify_wardrop(s, sol.pi_star, (sol.outcome.f2_given_n, sol.outcome.f2_given_a))
     assert report.ok, report.violations
     baselines = (
         average_spillover(s, solve_equilibrium(s, pi))

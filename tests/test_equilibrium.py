@@ -295,7 +295,7 @@ class TestVerifyWardrop:
             s = random_scenario(rng)
             pi = random_structure(rng)
             out = solve_equilibrium(s, pi)
-            report = verify_wardrop(s, pi, out)
+            report = verify_wardrop(s, pi, (out.f2_given_n, out.f2_given_a))
             assert report.ok, report.violations
 
     def test_complete_information_cost_equalization(self, ex1):
@@ -317,8 +317,11 @@ class TestVerifyWardrop:
     def test_unrepresentable_flows_reported_infeasible(self, ex1):
         s = replace(ex1, lambda_=0.1)
         report = verify_wardrop(s, FULL, (1.0, 5.0))
-        assert not report.feasible
         assert not report.ok
+        assert report.max_gap == math.inf
+        assert report.violations == (
+            "flows (f2_n=1.0, f2_a=5.0) admit no nonnegative decomposition at lambda_=0.1",
+        )
 
     def test_invalid_scenario_refused(self, ex1):
         # an informed fraction above 1 is the scenario's fault, not the flows'
