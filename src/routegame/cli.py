@@ -132,11 +132,7 @@ def _cmd_design(args: argparse.Namespace) -> int:
 
 
 def _sweep_row(request: SweepRequest, s: NetworkScenario, value: float) -> dict[str, object]:
-    try:
-        solution = optimal_design(s)
-    except InvalidScenarioError as exc:
-        return {request.axis: value, "error": "; ".join(exc.report.violations)}
-
+    solution = optimal_design(s)
     out = solution.outcome
     row = solution.to_record()
     row.update({request.axis: value, "f1_n": out.f1_given_n, "f1_a": out.f1_given_a, "error": ""})
@@ -161,6 +157,8 @@ def run_sweep(request: SweepRequest) -> tuple[list[str], list[dict[str, object]]
         fields[name] = value
         try:
             rows.append(_sweep_row(request, NetworkScenario(**fields), value))
+        except InvalidScenarioError as exc:
+            rows.append({request.axis: value, "error": "; ".join(exc.report.violations)})
         except (DomainError, ArithmeticError) as exc:
             rows.append({request.axis: value, "error": str(exc)})
     return columns, rows

@@ -11,7 +11,7 @@ structure independent of the fraction above ``lambda_high``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -88,43 +88,39 @@ def _p_bar(s: NetworkScenario, spread: float) -> float:
 
 
 def lambda_thresholds(s: NetworkScenario) -> tuple[float, float]:
-    """Informed-fraction regime boundaries ``(lambda_low, lambda_high)``.
+    """The thresholds ``(lambda_low, lambda_high)`` :func:`optimal_design` reports.
 
-    Defined only when the prior exceeds ``p_bar``; within that regime the
-    thresholds satisfy ``0 < lambda_low <= lambda_high < 1``, since
+    Defined only when the prior exceeds ``p_bar``; there
 
         lambda_high - lambda_low = (1 - p) * (alpha1_n + alpha2) * (tau - tau_low)
                                    / (p * D * (alpha1_a + alpha2))
 
-    with ``tau_low = tau_bounds(s)[0]``.  They coincide at ``p = 1`` and at
-    ``tau = tau_low``, where no fraction gets partial disclosure.
+    with ``tau_low = tau_bounds(s)[0]``, and ``-EPS < lambda_low <= lambda_high + EPS``.
+    They coincide at ``p = 1`` and at ``tau = tau_low``, where no fraction
+    gets partial disclosure and rounding can leave ``lambda_low`` up to
+    ``EPS`` above ``lambda_high``.
     """
     require_valid(s)
-    spread, _, excess = _terms(s)
-    t = _thresholds(s, spread, excess)
-    if t.lambda_low is None:
+    thresholds = _closed_form(s)[3]
+    if thresholds.lambda_low is None:
         raise RegimeError(
-            f"lambda thresholds are undefined for p={s.p!r} <= p_bar={t.p_bar:.12g}"
+            f"lambda thresholds are undefined for p={s.p!r} <= p_bar={thresholds.p_bar:.12g}"
         )
-    return t.lambda_low, t.lambda_high
+    return thresholds.lambda_low, thresholds.lambda_high
 
 
-def _terms(s: NetworkScenario) -> tuple[float, float, float]:
-    """``cost_spread``, the prior flow denominator ``prior_d = _slope(p) +
-    alpha2`` and ``(D - tau) * prior_d - cost_spread``, the numerator of
-    ``lambda_low``, both partial structures and their loss (positive exactly
-    when the prior exceeds ``p_bar``)."""
+def _closed_form(s: NetworkScenario) -> tuple[Regime, float, float, Thresholds]:
+    """Regime, optimal ``pi(a|a)``, loss and thresholds of a validated scenario.
+
+    ``excess``, positive exactly above ``p_bar``, is the numerator of
+    ``lambda_low``, both partial structures and their loss."""
     spread = s.cost_spread
-    prior_d = _slope(s, s.p) + s.alpha2
-    return spread, prior_d, (s.demand - s.tau) * prior_d - spread
-
-
-def _thresholds(s: NetworkScenario, spread: float, excess: float) -> Thresholds:
-    """Regime boundaries of a scenario the caller has validated."""
     pb = _p_bar(s, spread)
     # Ties classify as the no-persuasion regime.
     if s.p <= pb + EPS:
-        return Thresholds(p_bar=pb, lambda_low=None, lambda_high=None)
+        return Regime.NO_PERSUASION, 0.0, 0.0, Thresholds(pb, None, None)
+    prior_d = _slope(s, s.p) + s.alpha2
+    excess = (s.demand - s.tau) * prior_d - spread
     incident_d = s.alpha1_a + s.alpha2
     lam_low = excess / (s.demand * s.p * incident_d)
     lam_high = 1.0 - spread / (incident_d * s.demand) - s.tau / s.demand
@@ -134,7 +130,26 @@ def _thresholds(s: NetworkScenario, spread: float, excess: float) -> Thresholds:
         raise ArithmeticError(
             f"threshold ordering violated: lambda_low={lam_low!r}, lambda_high={lam_high!r}"
         )
-    return Thresholds(p_bar=pb, lambda_low=lam_low, lambda_high=lam_high)
+    lam = s.lambda_
+    if lam < lam_low:
+        regime, pi_aa = Regime.FULL_DISCLOSURE, 1.0
+        base = s.demand - s.tau - spread / prior_d
+        slope_gap = s.alpha1_a - s.alpha1_n
+        loss = base - s.p * (1.0 - s.p) * slope_gap * lam * s.demand / prior_d
+    else:
+        if lam < lam_high:
+            regime = Regime.PARTIAL_DISCLOSURE
+            scale = lam * s.demand * incident_d
+        else:
+            regime = Regime.SATURATED_DISCLOSURE
+            scale = (s.demand - s.tau) * incident_d - spread
+        pi_aa = excess / (scale * s.p)
+        loss = excess / incident_d
+        if not -EPS <= pi_aa <= 1.0 + EPS:
+            lam_low = _gap_lambda_low(s, lam_high)
+            pi_aa = lam_low / min(lam, lam_high)
+            loss = s.p * s.demand * lam_low
+    return regime, pi_aa, loss, Thresholds(pb, lam_low, lam_high)
 
 
 def _gap_lambda_low(s: NetworkScenario, lam_high: float) -> float:
@@ -142,8 +157,8 @@ def _gap_lambda_low(s: NetworkScenario, lam_high: float) -> float:
 
     ``excess`` cancels near ``tau_low``, and dividing it by a small ``p``
     magnifies its rounding error; this form cannot exceed ``lam_high``.  It
-    serves only where the ``excess`` form fails its own range check, so
-    every other result keeps its bits.
+    serves only where the ``excess`` form fails a range check, so every
+    other result keeps its bits.
     """
     gap = (1.0 - s.p) * (s.alpha1_n + s.alpha2) * (s.tau - tau_bounds(s)[0])
     return lam_high - gap / (s.p * s.demand * (s.alpha1_a + s.alpha2))
@@ -157,34 +172,10 @@ def optimal_design(s: NetworkScenario) -> DesignSolution:
     cross-checked against the spillover recomputed from those flows.
     """
     require_valid(s)
-    spread, prior_d, excess = _terms(s)
-    thresholds = _thresholds(s, spread, excess)
-    lam = s.lambda_
-    if thresholds.lambda_low is None:
-        regime, pi_aa, loss = Regime.NO_PERSUASION, 0.0, 0.0
-    elif lam < thresholds.lambda_low:
-        regime, pi_aa = Regime.FULL_DISCLOSURE, 1.0
-        base = s.demand - s.tau - spread / prior_d
-        slope_gap = s.alpha1_a - s.alpha1_n
-        loss = base - s.p * (1.0 - s.p) * slope_gap * lam * s.demand / prior_d
-    else:
-        incident_d = s.alpha1_a + s.alpha2
-        if lam < thresholds.lambda_high:
-            regime = Regime.PARTIAL_DISCLOSURE
-            scale = lam * s.demand * incident_d
-        else:
-            regime = Regime.SATURATED_DISCLOSURE
-            scale = (s.demand - s.tau) * incident_d - spread
-        pi_aa = excess / (scale * s.p)
-        loss = excess / incident_d
-        if not -EPS <= pi_aa <= 1.0 + EPS:
-            lam_low = _gap_lambda_low(s, thresholds.lambda_high)
-            thresholds = replace(thresholds, lambda_low=lam_low)
-            pi_aa = lam_low / min(lam, thresholds.lambda_high)
-            loss = s.p * s.demand * lam_low
+    regime, pi_aa, loss, thresholds = _closed_form(s)
     if not -EPS <= pi_aa <= 1.0 + EPS:
         raise ArithmeticError(f"derived signal probability outside [0, 1]: {pi_aa!r}")
-    pi_star = InformationStructure(min(max(pi_aa, 0.0), 1.0), 1.0)
+    pi_star = InformationStructure(pi_aa, 1.0)
 
     outcome = _solve(s, pi_star)
     realized = average_spillover(s, outcome)

@@ -22,9 +22,8 @@ from .model import (
 )
 
 __all__ = [
-    "BeliefSystem", "Branch", "EquilibriumOutcome", "InfeasibleStrategyError",
-    "VerificationReport", "average_spillover", "posterior_beliefs", "solve_equilibrium",
-    "verify_wardrop",
+    "BeliefSystem", "Branch", "EquilibriumOutcome", "VerificationReport", "average_spillover",
+    "posterior_beliefs", "solve_equilibrium", "verify_wardrop",
 ]
 
 
@@ -33,10 +32,6 @@ class Branch(Enum):
 
     INFORMED_SWITCH_ALL = "informed_switch_all"
     BOTH_SPLIT = "both_split"
-
-
-class InfeasibleStrategyError(ValueError):
-    """No nonnegative strategy decomposition reproduces the given flows."""
 
 
 @dataclass(frozen=True)
@@ -217,7 +212,8 @@ def _decompose(s: NetworkScenario, f2_n: float, f2_a: float) -> tuple[float, ...
     the uninformed population, then the population masses ``(pop1, pop2)``.
 
     The choice minimizes ``q1_n`` (then ``q1_a``), which makes outputs
-    deterministic; :class:`InfeasibleStrategyError` if none is nonnegative.
+    deterministic; ``ArithmeticError`` if none is nonnegative, which for
+    flows :func:`_solve` derived is an internal-check failure.
     """
     demand, lam = s.demand, s.lambda_
     pop1 = lam * demand
@@ -227,7 +223,7 @@ def _decompose(s: NetworkScenario, f2_n: float, f2_a: float) -> tuple[float, ...
     lo = max(0.0, -diff, f2_n - pop2)
     hi = min(pop1, pop1 - diff, f2_n)
     if lo > hi + EPS * demand:
-        raise InfeasibleStrategyError(
+        raise ArithmeticError(
             f"flows (f2_n={f2_n!r}, f2_a={f2_a!r}) admit no nonnegative "
             f"decomposition at lambda_={lam!r}"
         )
@@ -269,7 +265,7 @@ def verify_wardrop(
             raise DomainError(f"{name} outside [0, demand]: {f!r}")
     try:
         q1_n, q1_a, q2, pop1, pop2 = _decompose(s, f2_n, f2_a)
-    except InfeasibleStrategyError as exc:
+    except ArithmeticError as exc:
         return VerificationReport(violations=(str(exc),), max_gap=float("inf"))
 
     beliefs = posterior_beliefs(s, pi)

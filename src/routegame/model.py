@@ -16,9 +16,9 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 __all__ = [
-    "EPS", "ConvergenceError", "DomainError", "InformationStructure", "InvalidScenarioError",
-    "NetworkScenario", "ScenarioParseError", "ValidationReport", "load_scenario",
-    "parse_scenario", "tau_bounds", "validate_scenario",
+    "EPS", "DomainError", "InformationStructure", "InvalidScenarioError", "NetworkScenario",
+    "ScenarioParseError", "ValidationReport", "load_scenario", "parse_scenario", "tau_bounds",
+    "validate_scenario",
 ]
 
 EPS = 1e-9
@@ -58,10 +58,6 @@ class InvalidScenarioError(ValueError):
     def __init__(self, report: ValidationReport):
         self.report = report
         super().__init__("invalid scenario: " + "; ".join(report.violations))
-
-
-class ConvergenceError(RuntimeError):
-    """The dynamics ran out of iterations or restarts disagreed."""
 
 
 @dataclass(frozen=True)
@@ -114,17 +110,20 @@ class InformationStructure:
     Rows are states, columns signals; row-stochasticity is structural:
     ``pi(n|a) = 1 - pi(a|a)`` and ``pi(a|n) = 1 - pi(n|n)``.  Feasibility
     additionally requires the nominal signal to be (weakly) more likely in
-    the nominal state, ``pi(n|n) >= pi(n|a)``.
+    the nominal state, ``pi(n|n) >= pi(n|a)``.  Values within ``EPS``
+    outside ``[0, 1]`` are accepted and stored clamped to it.
     """
 
     pi_a_given_a: float
     pi_n_given_n: float
 
     def __post_init__(self) -> None:
-        if not -EPS <= self.pi_a_given_a <= 1.0 + EPS:
-            raise DomainError(f"pi_a_given_a must lie in [0, 1], got {self.pi_a_given_a!r}")
-        if not -EPS <= self.pi_n_given_n <= 1.0 + EPS:
-            raise DomainError(f"pi_n_given_n must lie in [0, 1], got {self.pi_n_given_n!r}")
+        for name in ("pi_a_given_a", "pi_n_given_n"):
+            val = getattr(self, name)
+            if not -EPS <= val <= 1.0 + EPS:
+                raise DomainError(f"{name} must lie in [0, 1], got {val!r}")
+            # The EPS slack is accepted but stored clamped, so Bayes sees probabilities.
+            object.__setattr__(self, name, min(max(val, 0.0), 1.0))
         if self.pi_n_given_n < 1.0 - self.pi_a_given_a - EPS:
             raise DomainError(
                 "infeasible signal distribution: requires "

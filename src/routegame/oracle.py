@@ -19,14 +19,13 @@ from pathlib import Path
 
 from .equilibrium import _partition, _slope, posterior_beliefs
 from .model import (
-    ConvergenceError,
     DomainError,
     InformationStructure,
     NetworkScenario,
     require_valid,
 )
 
-__all__ = ["GridSpec", "best_response_equilibrium", "grid_search_design"]
+__all__ = ["ConvergenceError", "GridSpec", "best_response_equilibrium", "grid_search_design"]
 
 ITERATION_CAP = 1_000_000
 
@@ -34,6 +33,10 @@ ITERATION_CAP = 1_000_000
 # bracket starts at most ``demand`` wide, and a float significand has 53
 # bits, so 64 halvings take it below one ulp of demand.
 BISECTION_STEPS = 64
+
+
+class ConvergenceError(RuntimeError):
+    """The dynamics ran out of iterations or restarts disagreed."""
 
 
 @dataclass(frozen=True)

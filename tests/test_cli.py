@@ -12,7 +12,7 @@ import pytest
 
 from conftest import DEMO_CONFIG, golden_scenario
 import routegame
-from routegame import cli, equilibrium, model
+from routegame import cli, design, equilibrium, model, oracle
 from routegame import optimal_design, solve_equilibrium, tau_bounds, InformationStructure
 
 CONFIG_TEXT = DEMO_CONFIG.read_text()
@@ -364,15 +364,14 @@ class TestOracleCommand:
 
 # model, equilibrium, design, then oracle names.
 ALL_NAMES = [
-    "EPS", "ConvergenceError", "DomainError", "InformationStructure", "InvalidScenarioError",
-    "NetworkScenario", "ScenarioParseError", "ValidationReport", "load_scenario",
-    "parse_scenario", "tau_bounds", "validate_scenario",
-    "BeliefSystem", "Branch", "EquilibriumOutcome", "InfeasibleStrategyError",
-    "VerificationReport", "average_spillover", "posterior_beliefs", "solve_equilibrium",
-    "verify_wardrop",
+    "EPS", "DomainError", "InformationStructure", "InvalidScenarioError", "NetworkScenario",
+    "ScenarioParseError", "ValidationReport", "load_scenario", "parse_scenario", "tau_bounds",
+    "validate_scenario",
+    "BeliefSystem", "Branch", "EquilibriumOutcome", "VerificationReport", "average_spillover",
+    "posterior_beliefs", "solve_equilibrium", "verify_wardrop",
     "DesignSolution", "Regime", "RegimeError", "Thresholds", "lambda_thresholds",
     "optimal_design", "p_bar",
-    "GridSpec", "best_response_equilibrium", "grid_search_design",
+    "ConvergenceError", "GridSpec", "best_response_equilibrium", "grid_search_design",
 ]
 
 
@@ -414,6 +413,16 @@ class TestLazyOracleImport:
 
         assert routegame.__all__ == ALL_NAMES
         assert all(hasattr(routegame, name) for name in ALL_NAMES)
+
+
+# A class or function listed in a module's __all__ is defined there, so each
+# public name, error types included, has one home.
+@pytest.mark.parametrize("module", [model, equilibrium, design, oracle], ids=lambda m: m.__name__)
+def test_public_names_are_defined_where_listed(module):
+    for name in module.__all__:
+        obj = getattr(module, name)
+        if callable(obj):
+            assert obj.__module__ == module.__name__, name
 
 
 class TestUsageErrors:

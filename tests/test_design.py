@@ -187,11 +187,15 @@ def test_fuzz_designs_pass_their_own_checks():
         for s in fuzz_scenarios(rng, span_exp, 2500):
             assert validate_scenario(s).ok, s
             try:
-                optimal_design(s)
+                t = optimal_design(s).thresholds
             except ArithmeticError as exc:
                 tie = str(exc).startswith("closed-form loss") and s.p - p_bar(s) <= EPS
                 if not tie:
                     failures.append(f"{s}: {exc}")
+                continue
+            # lambda_thresholds reports the thresholds optimal_design used.
+            if t.lambda_low is not None and lambda_thresholds(s) != (t.lambda_low, t.lambda_high):
+                failures.append(f"{s}: lambda_thresholds {lambda_thresholds(s)} differ from {t}")
     assert not failures, "\n".join(failures)
 
 

@@ -148,6 +148,34 @@ class TestSolveEquilibrium:
         with pytest.raises(InvalidScenarioError):
             solve_equilibrium(golden_scenario(tau=1.0), FULL)
 
+    # Structures within EPS outside [0, 1] are stored clamped, so Bayes never
+    # sees a probability outside [0, 1].
+    @pytest.mark.parametrize(
+        "raw, clamped",
+        [
+            ((1.5e-9, 1.0 + 1e-9), (1.5e-9, 1.0)),
+            ((-1e-9, 1.0 + 1e-9), (0.0, 1.0)),
+            ((1.0 + 1e-9, -1e-9), (1.0, 0.0)),
+        ],
+    )
+    def test_eps_slack_solves_as_clamped_structure(self, raw, clamped):
+        s = golden_scenario(p=0.5)
+        pi = InformationStructure(*raw)
+        assert (pi.pi_a_given_a, pi.pi_n_given_n) == clamped
+        out = solve_equilibrium(s, pi)
+        assert out == solve_equilibrium(s, InformationStructure(*clamped))
+        assert 0.0 <= out.beliefs.pr_a <= 1.0
+
+    # An exactly feasible, uninformative structure pi(n|n) = 1 - pi(a|a) near
+    # pi(n|n) = 1: 1 - pi_n_given_n keeps only about 8 digits of pi(a|a), and
+    # dividing by the small pr_a puts beta_a_of_a below beta_n_of_a.  The same
+    # structure solves at pi(a|a) = 1e-6 and 1e-12.
+    @pytest.mark.xfail(raises=DomainError, strict=True, reason="posterior ordering near pi_nn = 1")
+    @pytest.mark.parametrize("pa", [1e-8, 5e-10])
+    def test_uninformative_structure_near_pi_nn_one_solves(self, pa):
+        out = solve_equilibrium(golden_scenario(p=0.5), InformationStructure(pa, 1.0 - pa))
+        assert out.beliefs.beta_a_of_a == pytest.approx(out.beliefs.beta_n_of_a)
+
     def test_outcome_identities_random(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
