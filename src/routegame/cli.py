@@ -80,8 +80,6 @@ class SweepRequest:
 
 
 def _fmt(value: object) -> str:
-    if type(value) is float:
-        return f"{value:.12g}"
     if value is None:
         return ""
     if isinstance(value, str):
@@ -137,7 +135,9 @@ def _sweep_row(request: SweepRequest, s: NetworkScenario, value: float) -> dict[
     row = solution.to_record()
     row.update({request.axis: value, "f1_n": out.f1_given_n, "f1_a": out.f1_given_a, "error": ""})
     if not request.outputs.isdisjoint(("loss", "costs")):
-        no_info, full_info = _solve(s, _NO_INFO), _solve(s, _FULL_INFO)
+        # _solve is deterministic, so a baseline equal to pi_star reuses its outcome.
+        no_info = out if solution.pi_star == _NO_INFO else _solve(s, _NO_INFO)
+        full_info = out if solution.pi_star == _FULL_INFO else _solve(s, _FULL_INFO)
         row.update(
             loss_no_info=average_spillover(s, no_info),
             loss_full_info=average_spillover(s, full_info),
@@ -171,8 +171,10 @@ def _write_csv(
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(row.get(col)) for col in columns])
+    writer.writerows(
+        [f"{v:.12g}" if type(v) is float else _fmt(v) for v in map(row.get, columns)]
+        for row in rows
+    )
     if out_path is None:
         sys.stdout.write(buf.getvalue())
     else:

@@ -116,10 +116,11 @@ def _closed_form(s: NetworkScenario) -> tuple[Regime, float, float, Thresholds]:
     ``lambda_low``, both partial structures and their loss."""
     spread = s.cost_spread
     pb = _p_bar(s, spread)
-    # Ties classify as the no-persuasion regime.
-    if s.p <= pb + EPS:
-        return Regime.NO_PERSUASION, 0.0, 0.0, Thresholds(pb, None, None)
     prior_d = _slope(s, s.p) + s.alpha2
+    # No persuasion while the uninformed route-2 flow stays at or below tau;
+    # ties classify as no persuasion.
+    if s.demand - spread / prior_d <= s.tau:
+        return Regime.NO_PERSUASION, 0.0, 0.0, Thresholds(pb, None, None)
     excess = (s.demand - s.tau) * prior_d - spread
     incident_d = s.alpha1_a + s.alpha2
     lam_low = excess / (s.demand * s.p * incident_d)

@@ -52,6 +52,9 @@ class ValidationReport:
         return "\n".join(self.violations)
 
 
+_VALID = ValidationReport()
+
+
 class InvalidScenarioError(ValueError):
     """A solver was handed a scenario whose invariants do not hold."""
 
@@ -118,6 +121,10 @@ class InformationStructure:
     pi_n_given_n: float
 
     def __post_init__(self) -> None:
+        a, n = self.pi_a_given_a, self.pi_n_given_n
+        # Accept the valid case at once; the code below raises or clamps.
+        if 0.0 <= a <= 1.0 and 0.0 <= n <= 1.0 and n >= 1.0 - a - EPS:
+            return
         for name in ("pi_a_given_a", "pi_n_given_n"):
             val = getattr(self, name)
             if not -EPS <= val <= 1.0 + EPS:
@@ -175,6 +182,23 @@ def validate_scenario(s: NetworkScenario) -> ValidationReport:
     because below it the two fraction thresholds invert and no design is
     consistent.
     """
+    # Accept the valid case at once; _field_report only builds the messages.
+    if (
+        0.0 < s.alpha1_n < s.alpha2 < s.alpha1_a < math.inf
+        and 0.0 < s.b1 < s.b2 < math.inf
+        and 0.0 < s.tau < s.demand < math.inf
+        and 0.0 <= s.p <= 1.0
+        and 0.0 <= s.lambda_ <= 1.0
+        and s.demand > (s.b2 - s.b1) / s.alpha1_n
+    ):
+        low, high = tau_bounds(s)
+        if low <= s.tau <= high + EPS * s.demand:
+            return _VALID
+    return _field_report(s)
+
+
+def _field_report(s: NetworkScenario) -> ValidationReport:
+    """:func:`validate_scenario` checked field by field, naming each violation."""
     v: list[str] = []
     positive = ("alpha1_a", "alpha1_n", "alpha2", "b1", "b2", "demand", "tau")
     in_range = True

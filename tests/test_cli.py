@@ -8,9 +8,10 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from conftest import DEMO_CONFIG, golden_scenario
+from conftest import DEMO_CONFIG, golden_scenario, random_scenario
 import routegame
 from routegame import cli, design, equilibrium, model, oracle
 from routegame import optimal_design, solve_equilibrium, tau_bounds, InformationStructure
@@ -57,6 +58,8 @@ DEMO_SWEEP_DIGESTS = {
         "3ae86dd1cd7fcf8a09012b122b06ad2b33cc7c06321d31b65da43f065bd6b578",
     ),
 }
+# sha256 over the CSVs of the 201-point sweeps in test_random_sweeps_are_byte_pinned.
+RANDOM_SWEEPS_DIGEST = "31c1a8074984241ebaa2d18b830971a04bc5fb2303c84915cb39974053797ce9"
 
 
 def run_cli(*args: str, cwd=None) -> subprocess.CompletedProcess:
@@ -301,6 +304,30 @@ class TestSweepCommand:
         )
         assert digests == DEMO_SWEEP_DIGESTS[key]
 
+    def test_random_sweeps_are_byte_pinned(self, tmp_path):
+        # 15 seeded scenarios, demand x1 to x1e4, five sweeps along each
+        # axis over its whole range, all output groups
+        rng = np.random.default_rng(15)
+        digest, regimes = hashlib.sha256(), Counter()
+        for i in range(15):
+            s, scale = random_scenario(rng), 10.0 ** rng.uniform(0.0, 4.0)
+            s = replace(s, b1=s.b1 * scale, b2=s.b2 * scale, demand=s.demand * scale,
+                        tau=s.tau * scale)
+            axis = ("lambda", "p", "tau")[i % 3]
+            start, stop = tau_bounds(s) if axis == "tau" else (0.0, 1.0)
+            config, out = tmp_path / f"{i}.cfg", tmp_path / f"{i}.csv"
+            config.write_text("".join(f"{k} = {v!r}\n" for k, v in s.to_dict().items()))
+            argv = ["sweep", str(config), "--axis", axis, "--start", repr(start),
+                    "--stop", repr(stop), "--count", "201", "--out", str(out)]
+            assert cli.main(argv) == 0
+            data = out.read_bytes()
+            digest.update(data)
+            rows = list(csv.DictReader(data.decode().splitlines()))
+            assert not any(row["error"] for row in rows)
+            regimes.update(row["regime"] for row in rows)
+        assert set(regimes) == {r.value for r in design.Regime}
+        assert digest.hexdigest() == RANDOM_SWEEPS_DIGEST
+
     def test_one_validation_per_point(self, tmp_path, monkeypatch):
         calls = Counter()
 
@@ -322,9 +349,10 @@ class TestSweepCommand:
         argv = ["sweep", str(DEMO_CONFIG), "--axis", "lambda", "--start", "0", "--stop", "1",
                 "--count", "101", "--out", str(tmp_path / "sweep.csv")]
         assert cli.main(argv) == 0
-        # one validation per point; one Bayes update per solved equilibrium:
-        # the optimum and the two baselines
-        assert calls == {"validate_scenario": 101, "posterior_beliefs": 303}
+        # one validation per point; one Bayes update per distinct structure
+        # among the optimum and the two baselines: the 14 points whose optimum
+        # is no information or full information solve two structures, not three
+        assert calls == {"validate_scenario": 101, "posterior_beliefs": 289}
 
     def test_stdout_when_no_out_path(self, config):
         result = run_cli(

@@ -1,8 +1,11 @@
+import hashlib
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from conftest import DEMO_CONFIG, golden_scenario
+from conftest import DEMO_CONFIG, golden_scenario, random_scenario
 from routegame import (
     EPS,
     DomainError,
@@ -15,8 +18,70 @@ from routegame import (
     tau_bounds,
     validate_scenario,
 )
+from routegame import model
+from routegame.model import SCENARIO_FIELDS
 
 GOLDEN_TEXT = DEMO_CONFIG.read_text()
+
+# Edge values for the validity fast paths of validate_scenario and
+# InformationStructure, and the sha256 of what each edge case gave before
+# those fast paths existed: the report of every scenario case, and the
+# stored pair or the error text of every structure case.
+FIELD_EDGES = (math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1.0)
+PI_EDGES = (
+    0.0, -0.0, 1.0, 5e-324, 0.3, 0.7, -EPS, 1.0 + EPS, -0.5 * EPS, 1.0 + 0.5 * EPS,
+    math.nextafter(-EPS, -1.0), math.nextafter(1.0 + EPS, 2.0), math.nan, math.inf, -math.inf,
+)
+EDGE_REPORTS_DIGEST = "d8399e0a8fcbbde175ceaf7530668633d2b8c6bd9e27a2f140e514ef06a05996"
+EDGE_STRUCTURES_DIGEST = "2ff8a98ae3fc64d1348053edd68aa13d62dea0631b0013230291a25afc2e6ac3"
+
+
+def edge_scenario_cases():
+    """Valid bases (the golden scenario, a steep incident slope, and random
+    draws at demand x1 to x1e8), each as is, with one field at each of
+    ``FIELD_EDGES``, with ``tau`` at, just outside and just inside its
+    bounds and ``demand``, with ``demand`` at its bound ``(b2 - b1)/alpha1_n``,
+    and with ``p`` and ``lambda_`` at and just outside ``[0, 1]``."""
+    rng = np.random.default_rng(15)
+    bases = [
+        golden_scenario(),
+        NetworkScenario(
+            alpha1_a=1e10, alpha1_n=0.5, alpha2=1.0, b1=1.0, b2=2.0,
+            demand=100.0, p=0.5, lambda_=0.5, tau=99.0,
+        ),
+    ]
+    for k in (0, 2, 4, 8):
+        s, scale = random_scenario(rng), 10.0**k
+        bases.append(replace(
+            s, b1=s.b1 * scale, b2=s.b2 * scale, demand=s.demand * scale, tau=s.tau * scale
+        ))
+    for s in bases:
+        yield s
+        for name in SCENARIO_FIELDS:
+            for value in FIELD_EDGES:
+                yield replace(s, **{name: value})
+        low, high = tau_bounds(s)
+        top = high + EPS * s.demand
+        for tau in (low, math.nextafter(low, -math.inf), high, top,
+                    math.nextafter(top, math.inf), s.demand, math.nextafter(s.demand, 0.0)):
+            yield replace(s, tau=tau)
+        bound = (s.b2 - s.b1) / s.alpha1_n
+        yield replace(s, demand=bound)
+        yield replace(s, demand=math.nextafter(bound, math.inf))
+        for name in ("p", "lambda_"):
+            for value in (math.nextafter(0.0, -1.0), math.nextafter(1.0, 2.0), EPS, 1.0 - EPS):
+                yield replace(s, **{name: value})
+
+
+def edge_structure_cases():
+    """Every pair of ``PI_EDGES``, and ``pi_n_given_n`` at and just below the
+    feasibility bound ``1 - pi_a_given_a - EPS`` for each ``pi_a_given_a``."""
+    for a in PI_EDGES:
+        for n in PI_EDGES:
+            yield a, n
+        edge = 1.0 - a - EPS
+        for n in (edge, math.nextafter(edge, -math.inf), 1.0 - a):
+            yield a, n
 
 
 class TestValidateScenario:
@@ -149,6 +214,38 @@ class TestInformationStructure:
         assert (full.pi_a_given_a, full.pi_n_given_n) == (1.0, 1.0)
         none = InformationStructure.no_information()
         assert (none.pi_a_given_a, none.pi_n_given_n) == (0.0, 1.0)
+
+
+def _sha256(records: list[str]) -> str:
+    return hashlib.sha256("\n".join(records).encode()).hexdigest()
+
+
+def test_validation_fast_path_agrees_with_field_checks():
+    records, valid = [], 0
+    for s in edge_scenario_cases():
+        report = validate_scenario(s)
+        assert report == model._field_report(s), s
+        valid += report.ok
+        records.append(repr(report.violations))
+    assert 50 < valid < len(records) - 50
+    assert _sha256(records) == EDGE_REPORTS_DIGEST
+
+
+def test_structure_fast_path_agrees_with_field_checks():
+    records, stored = [], 0
+    for a, n in edge_structure_cases():
+        try:
+            pi = InformationStructure(a, n)
+        except DomainError as exc:
+            records.append(f"DomainError: {exc}")
+            continue
+        # accepted values are stored clamped to [0, 1], sign of zero kept
+        clamped = (min(max(a, 0.0), 1.0), min(max(n, 0.0), 1.0))
+        assert repr((pi.pi_a_given_a, pi.pi_n_given_n)) == repr(clamped)
+        stored += 1
+        records.append(repr(clamped))
+    assert 20 < stored < len(records) - 20
+    assert _sha256(records) == EDGE_STRUCTURES_DIGEST
 
 
 class TestScenarioDocuments:
