@@ -16,12 +16,13 @@ import io
 import json
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
 from .design import optimal_design
-from .equilibrium import _solve, average_spillover, solve_equilibrium
+from .equilibrium import EquilibriumOutcome, _solve, average_spillover, solve_equilibrium
 from .model import (
     DomainError,
     InformationStructure,
@@ -44,6 +45,7 @@ OUTPUT_COLUMNS = {
 OUTPUT_GROUPS = tuple(OUTPUT_COLUMNS)
 _NO_INFO = InformationStructure.no_information()
 _FULL_INFO = InformationStructure.full_revelation()
+_Solver = Callable[[NetworkScenario, InformationStructure], EquilibriumOutcome]
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,8 @@ def _print_json(record: dict[str, object]) -> None:
 
 def _emit(record: dict[str, object], fmt: str) -> None:
     if fmt == "csv":
-        _write_csv(list(record), [record], None)
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerows([list(record), map(_fmt, record.values())])
     else:
         _print_json(record)
 
@@ -129,15 +132,17 @@ def _cmd_design(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_row(request: SweepRequest, s: NetworkScenario, value: float) -> dict[str, object]:
+def _sweep_row(
+    request: SweepRequest, s: NetworkScenario, value: float, solve_baseline: _Solver
+) -> dict[str, object]:
     solution = optimal_design(s)
     out = solution.outcome
     row = solution.to_record()
     row.update({request.axis: value, "f1_n": out.f1_given_n, "f1_a": out.f1_given_a, "error": ""})
     if not request.outputs.isdisjoint(("loss", "costs")):
         # _solve is deterministic, so a baseline equal to pi_star reuses its outcome.
-        no_info = out if solution.pi_star == _NO_INFO else _solve(s, _NO_INFO)
-        full_info = out if solution.pi_star == _FULL_INFO else _solve(s, _FULL_INFO)
+        no_info = out if solution.pi_star == _NO_INFO else solve_baseline(s, _NO_INFO)
+        full_info = out if solution.pi_star == _FULL_INFO else solve_baseline(s, _FULL_INFO)
         row.update(
             loss_no_info=average_spillover(s, no_info),
             loss_full_info=average_spillover(s, full_info),
@@ -147,16 +152,36 @@ def _sweep_row(request: SweepRequest, s: NetworkScenario, value: float) -> dict[
     return row
 
 
+def _solve_once() -> _Solver:
+    """A ``_solve`` that solves each structure once and then returns that outcome.
+
+    Only for scenarios that differ in ``tau`` alone, which ``_solve`` never reads.
+    """
+    solved: dict[InformationStructure, EquilibriumOutcome] = {}
+
+    def solve(s: NetworkScenario, pi: InformationStructure) -> EquilibriumOutcome:
+        outcome = solved.get(pi)
+        if outcome is None:
+            outcome = solved[pi] = _solve(s, pi)
+        return outcome
+
+    return solve
+
+
 def run_sweep(request: SweepRequest) -> tuple[list[str], list[dict[str, object]]]:
-    """Evaluate every sweep point; per-point failures land in the error column."""
+    """Evaluate every sweep point; per-point failures land in the error column.
+
+    Points that differ only in ``tau`` share their baseline outcomes.
+    """
     chosen = (c for g, cols in OUTPUT_COLUMNS.items() if g in request.outputs for c in cols)
     columns = [request.axis, "regime", *chosen, "error"]
     fields, name = request.scenario.to_dict(), AXIS_FIELDS[request.axis]
+    solve_baseline = _solve_once() if name == "tau" else _solve
     rows = []
     for value in request.axis_values():
         fields[name] = value
         try:
-            rows.append(_sweep_row(request, NetworkScenario(**fields), value))
+            rows.append(_sweep_row(request, NetworkScenario(**fields), value, solve_baseline))
         except InvalidScenarioError as exc:
             rows.append({request.axis: value, "error": "; ".join(exc.report.violations)})
         except (DomainError, ArithmeticError) as exc:
@@ -167,14 +192,23 @@ def run_sweep(request: SweepRequest) -> tuple[list[str], list[dict[str, object]]
 def _write_csv(
     columns: list[str], rows: list[dict[str, object]], out_path: str | None
 ) -> None:
-    """Write a header and one line per row to ``out_path``, or to stdout if None."""
+    """Write a header and one line per sweep row to ``out_path``, or to stdout if None.
+
+    An error-free row holds floats, the regime word and an empty error, so one
+    ``%`` template formats it; ``csv.writer`` writes each error row, whose
+    message may need quoting.
+    """
+    template = ",".join(
+        f"%({c})s" if c in ("regime", "error") else f"%({c}).12g" for c in columns
+    ) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows(
-        [f"{v:.12g}" if type(v) is float else _fmt(v) for v in map(row.get, columns)]
-        for row in rows
-    )
+    for row in rows:
+        if row["error"]:
+            writer.writerow([_fmt(row.get(c)) for c in columns])
+        else:
+            buf.write(template % row)
     if out_path is None:
         sys.stdout.write(buf.getvalue())
     else:

@@ -275,7 +275,9 @@ def verify_wardrop(
     e2_r1 = beliefs.pr_n * c1_n + beliefs.pr_a * c1_a
     e2_r2 = beliefs.pr_n * c2_n + beliefs.pr_a * c2_a
 
-    tol = 1e-7 * s.b2
+    # A cost gap at a true equilibrium is rounding in costs up to about
+    # alpha1_a * D + b2, so the tolerance is relative to that cost scale.
+    tol = 1e-7 * max(s.alpha1_a * s.demand, s.b2)
     violations: list[str] = []
     max_gap = 0.0
 

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -185,6 +186,22 @@ class TestDesignCommand:
         record = dict(zip(rows[0], rows[1]))
         assert float(record["loss"]) == pytest.approx(0.4, abs=1e-11)
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["design"], "081a01b1cee1d50166d466e0be97bea02485ce133d62dd5c01c7972809b66def"),
+            (
+                ["equilibrium", "--pi-aa", "0.7", "--pi-nn", "0.9"],
+                "f4022ff1e4a6df407c2716e261bdcff1dc793bfe0b253b8b216e90a94181fbe2",
+            ),
+        ],
+        ids=["design", "equilibrium"],
+    )
+    def test_one_row_csv_is_byte_pinned(self, capsys, argv, digest):
+        # sha256 of the header and record lines of the demo config
+        assert cli.main([argv[0], str(DEMO_CONFIG), *argv[1:], "--format", "csv"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
 
 class TestSweepCommand:
     def test_signal_policy_series(self, config, tmp_path):
@@ -328,7 +345,9 @@ class TestSweepCommand:
         assert set(regimes) == {r.value for r in design.Regime}
         assert digest.hexdigest() == RANDOM_SWEEPS_DIGEST
 
-    def test_one_validation_per_point(self, tmp_path, monkeypatch):
+    @staticmethod
+    def count_calls(monkeypatch, argv: list[str]) -> Counter:
+        """Validations and Bayes updates made by the in-process ``cli.main(argv)``."""
         calls = Counter()
 
         def counted(module, name):
@@ -346,13 +365,57 @@ class TestSweepCommand:
         monkeypatch.setattr(
             equilibrium, "posterior_beliefs", counted(equilibrium, "posterior_beliefs")
         )
+        assert cli.main(argv) == 0
+        return calls
+
+    def test_one_validation_per_point(self, tmp_path, monkeypatch):
         argv = ["sweep", str(DEMO_CONFIG), "--axis", "lambda", "--start", "0", "--stop", "1",
                 "--count", "101", "--out", str(tmp_path / "sweep.csv")]
-        assert cli.main(argv) == 0
+        calls = self.count_calls(monkeypatch, argv)
         # one validation per point; one Bayes update per distinct structure
         # among the optimum and the two baselines: the 14 points whose optimum
         # is no information or full information solve two structures, not three
         assert calls == {"validate_scenario": 101, "posterior_beliefs": 289}
+
+    def test_tau_sweep_solves_each_baseline_once(self, tmp_path, monkeypatch):
+        low, high = tau_bounds(golden_scenario())
+        argv = ["sweep", str(DEMO_CONFIG), "--axis", "tau", "--start", repr(low),
+                "--stop", repr(high), "--count", "101", "--out", str(tmp_path / "sweep.csv")]
+        calls = self.count_calls(monkeypatch, argv)
+        # the equilibrium does not depend on tau, so the 101 points solve
+        # their optima and share one solve of each baseline (227 updates
+        # when every point solved its own baselines)
+        assert calls == {"validate_scenario": 101, "posterior_beliefs": 103}
+
+    def test_error_rows_are_quoted_like_csv_writer(self, tmp_path, monkeypatch):
+        message = 'a, "b"'
+
+        def failing_at_some_points(s):
+            if round(s.lambda_ * 10) % 3 == 1:
+                raise ArithmeticError(message)
+            return optimal_design(s)
+
+        monkeypatch.setattr(cli, "optimal_design", failing_at_some_points)
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", str(DEMO_CONFIG), "--axis", "lambda", "--start", "0", "--stop", "1",
+                "--count", "11", "--out", str(out)]
+        assert cli.main(argv) == 0
+        request = cli.SweepRequest(
+            scenario=golden_scenario(), axis="lambda", start=0.0, stop=1.0, count=11,
+            outputs=frozenset(cli.OUTPUT_GROUPS),
+        )
+        columns, rows = cli.run_sweep(request)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow(
+                "" if v is None else v if isinstance(v, str) else f"{v:.12g}"
+                for v in map(row.get, columns)
+            )
+        assert out.read_bytes() == expected.getvalue().encode()
+        errors = [row["error"] for row in csv.DictReader(io.StringIO(out.read_text()))]
+        assert errors == [message if i % 3 == 1 else "" for i in range(11)]
 
     def test_stdout_when_no_out_path(self, config):
         result = run_cli(

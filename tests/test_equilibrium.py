@@ -17,6 +17,7 @@ from routegame import (
     optimal_design,
     posterior_beliefs,
     solve_equilibrium,
+    tau_bounds,
     verify_wardrop,
 )
 
@@ -341,6 +342,31 @@ class TestVerifyWardrop:
         report = verify_wardrop(ex1, FULL, (out.f2_given_n, out.f2_given_a + 0.5))
         assert not report.ok
         assert report.max_gap > 0.0
+
+    def test_optima_pass_at_large_demand(self):
+        # at demand 1e11 the route costs reach alpha1_a * D = 3e11, whose
+        # rounding alone exceeded the old absolute tolerance 1e-7 * b2
+        rng = np.random.default_rng(16)
+        base = golden_scenario(demand=1e11)
+        for _ in range(500):
+            s = replace(base, p=float(rng.uniform()), lambda_=float(rng.uniform()))
+            low, high = tau_bounds(s)
+            s = replace(s, tau=low + float(rng.uniform(0.05, 0.95)) * (high - low))
+            sol = optimal_design(s)
+            report = verify_wardrop(s, sol.pi_star, (sol.outcome.f2_given_n, sol.outcome.f2_given_a))
+            assert report.ok, (s, report.violations)
+
+    def test_perturbed_flows_flag_violations_at_large_demand(self):
+        s = golden_scenario(demand=1e11)
+        s = replace(s, tau=sum(tau_bounds(s)) / 2)
+        out = solve_equilibrium(s, FULL)
+        # uninformed travelers shift 1e-6 * D to route 2 under both signals,
+        # a cost gap of 3.6e5 against the tolerance 1e-7 * alpha1_a * D = 3e4
+        shift = 1e-6 * s.demand
+        flows = (out.f2_given_n + shift, out.f2_given_a + shift)
+        report = verify_wardrop(s, FULL, flows)
+        assert not report.ok
+        assert 0.0 < report.max_gap < math.inf
 
     def test_unrepresentable_flows_reported_infeasible(self, ex1):
         s = replace(ex1, lambda_=0.1)
