@@ -24,6 +24,7 @@ from . import __version__
 from .design import optimal_design
 from .equilibrium import EquilibriumOutcome, _solve, average_spillover, solve_equilibrium
 from .model import (
+    SCENARIO_FIELDS,
     DomainError,
     InformationStructure,
     InvalidScenarioError,
@@ -175,13 +176,14 @@ def run_sweep(request: SweepRequest) -> tuple[list[str], list[dict[str, object]]
     """
     chosen = (c for g, cols in OUTPUT_COLUMNS.items() if g in request.outputs for c in cols)
     columns = [request.axis, "regime", *chosen, "error"]
-    fields, name = request.scenario.to_dict(), AXIS_FIELDS[request.axis]
+    name = AXIS_FIELDS[request.axis]
+    values, slot = list(request.scenario.to_dict().values()), SCENARIO_FIELDS.index(name)
     solve_baseline = _solve_once() if name == "tau" else _solve
     rows = []
     for value in request.axis_values():
-        fields[name] = value
+        values[slot] = value
         try:
-            rows.append(_sweep_row(request, NetworkScenario(**fields), value, solve_baseline))
+            rows.append(_sweep_row(request, NetworkScenario(*values), value, solve_baseline))
         except InvalidScenarioError as exc:
             rows.append({request.axis: value, "error": "; ".join(exc.report.violations)})
         except (DomainError, ArithmeticError) as exc:

@@ -184,6 +184,4 @@ def optimal_design(s: NetworkScenario) -> DesignSolution:
         raise ArithmeticError(
             f"closed-form loss {loss!r} disagrees with realized spillover {realized!r}"
         )
-    return DesignSolution(
-        regime=regime, pi_star=pi_star, outcome=outcome, loss=loss, thresholds=thresholds
-    )
+    return DesignSolution(regime, pi_star, outcome, loss, thresholds)

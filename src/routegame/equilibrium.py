@@ -50,6 +50,9 @@ class BeliefSystem:
     pr_a: float
 
     def __post_init__(self) -> None:
+        # Accept the valid case at once; the checks below name the violation.
+        if 0.0 <= self.beta_n_of_a <= self.beta_a_of_a <= 1.0 and 0.0 <= self.pr_a <= 1.0:
+            return
         if not -EPS <= self.beta_a_of_a <= 1.0 + EPS:
             raise DomainError(f"beta_a_of_a must lie in [0, 1], got {self.beta_a_of_a!r}")
         if not -EPS <= self.beta_n_of_a <= 1.0 + EPS:
@@ -115,14 +118,19 @@ class VerificationReport:
 def posterior_beliefs(s: NetworkScenario, pi: InformationStructure) -> BeliefSystem:
     """Bayes-update the prior with the signal distribution.
 
-    Zero-probability signals keep the prior as their posterior.
+    Zero-probability signals keep the prior as their posterior.  So do both
+    signals of a pair with ``pi(a|n) > pi(a|a)``, which only the ``EPS``
+    feasibility slack of :class:`InformationStructure` admits: it is solved
+    as the uninformative structure it rounds to.
     """
-    p = s.p
-    pr_a = p * pi.pi_a_given_a + (1.0 - p) * pi.pi_a_given_n
+    p, pi_aa, pi_an = s.p, pi.pi_a_given_a, pi.pi_a_given_n
+    pr_a = p * pi_aa + (1.0 - p) * pi_an
+    if pi_an > pi_aa:
+        return BeliefSystem(p, p, pr_a)
     pr_n = 1.0 - pr_a
-    beta_a = p * pi.pi_a_given_a / pr_a if pr_a > 0.0 else p
+    beta_a = p * pi_aa / pr_a if pr_a > 0.0 else p
     beta_n = p * pi.pi_n_given_a / pr_n if pr_n > 0.0 else p
-    return BeliefSystem(beta_a_of_a=beta_a, beta_n_of_a=beta_n, pr_a=pr_a)
+    return BeliefSystem(beta_a, beta_n, pr_a)
 
 
 def _slope(s: NetworkScenario, belief_of_a):
@@ -144,7 +152,12 @@ def _partition(s: NetworkScenario, spread: float, d_n, d_a):
 def _checked_flow(f: float, demand: float) -> float:
     if f < -EPS * demand or f > demand * (1.0 + EPS):
         raise ArithmeticError(f"equilibrium flow {f!r} outside [0, {demand!r}]")
-    return min(max(f, 0.0), demand)
+    # min(max(f, 0.0), demand) by comparison, which keeps the builtins'
+    # results (first argument on ties, NaN, signed zero) at a fraction of
+    # the call cost; so do the clips of _decompose and average_spillover.
+    if 0.0 > f:
+        f = 0.0
+    return demand if demand < f else f
 
 
 def solve_equilibrium(s: NetworkScenario, pi: InformationStructure) -> EquilibriumOutcome:
@@ -193,16 +206,8 @@ def _solve(s: NetworkScenario, pi: InformationStructure) -> EquilibriumOutcome:
     cost1 = total1 / pop1 if lam != 0.0 else total2 / pop2
     cost2 = total2 / pop2 if lam != 1.0 else cost1
     return EquilibriumOutcome(
-        f2_given_n=f2_n,
-        f2_given_a=f2_a,
-        f1_given_n=demand - f2_n,
-        f1_given_a=demand - f2_a,
-        branch=branch,
-        g_value=g,
-        beliefs=beliefs,
-        cost_pop1=cost1,
-        cost_pop2=cost2,
-        cost_avg=lam * cost1 + (1.0 - lam) * cost2,
+        f2_n, f2_a, demand - f2_n, demand - f2_a, branch, g, beliefs,
+        cost1, cost2, lam * cost1 + (1.0 - lam) * cost2,
     )
 
 
@@ -219,17 +224,35 @@ def _decompose(s: NetworkScenario, f2_n: float, f2_a: float) -> tuple[float, ...
     pop1 = lam * demand
     pop2 = (1.0 - lam) * demand
     diff = f2_a - f2_n
-    # Bounds on q1_n from nonnegativity and the population totals.
-    lo = max(0.0, -diff, f2_n - pop2)
-    hi = min(pop1, pop1 - diff, f2_n)
+    # Bounds on q1_n from nonnegativity and the population totals:
+    # lo = max(0.0, -diff, f2_n - pop2), hi = min(pop1, pop1 - diff, f2_n).
+    lo, x = 0.0, -diff
+    if x > lo:
+        lo = x
+    x = f2_n - pop2
+    if x > lo:
+        lo = x
+    hi, x = pop1, pop1 - diff
+    if x < hi:
+        hi = x
+    if f2_n < hi:
+        hi = f2_n
     if lo > hi + EPS * demand:
         raise ArithmeticError(
             f"flows (f2_n={f2_n!r}, f2_a={f2_a!r}) admit no nonnegative "
             f"decomposition at lambda_={lam!r}"
         )
-    q1_n = min(lo, hi)  # canonical: smallest feasible q1_n
-    q1_a = min(max(q1_n + diff, 0.0), pop1)
-    q2 = min(max(f2_n - q1_n, 0.0), pop2)
+    q1_n = hi if hi < lo else lo  # canonical: smallest feasible q1_n
+    q1_a = q1_n + diff
+    if 0.0 > q1_a:
+        q1_a = 0.0
+    if pop1 < q1_a:
+        q1_a = pop1
+    q2 = f2_n - q1_n
+    if 0.0 > q2:
+        q2 = 0.0
+    if pop2 < q2:
+        q2 = pop2
     return q1_n, q1_a, q2, pop1, pop2
 
 
@@ -301,6 +324,9 @@ def verify_wardrop(
 def average_spillover(s: NetworkScenario, outcome: EquilibriumOutcome) -> float:
     """Realized average route-2 flow above the threshold, from an outcome."""
     beliefs = outcome.beliefs
-    return beliefs.pr_a * max(outcome.f2_given_a - s.tau, 0.0) + beliefs.pr_n * max(
-        outcome.f2_given_n - s.tau, 0.0
-    )
+    over_a, over_n = outcome.f2_given_a - s.tau, outcome.f2_given_n - s.tau
+    if 0.0 > over_a:
+        over_a = 0.0
+    if 0.0 > over_n:
+        over_n = 0.0
+    return beliefs.pr_a * over_a + beliefs.pr_n * over_n

@@ -8,11 +8,13 @@ import pytest
 from conftest import golden_scenario, random_scenario, random_structure
 from routegame import (
     BeliefSystem,
+    EPS,
     Branch,
     DomainError,
     GridSpec,
     InformationStructure,
     InvalidScenarioError,
+    average_spillover,
     best_response_equilibrium,
     optimal_design,
     posterior_beliefs,
@@ -20,6 +22,7 @@ from routegame import (
     tau_bounds,
     verify_wardrop,
 )
+from routegame import equilibrium
 
 FULL = InformationStructure.full_revelation()
 UNINFORMATIVE = InformationStructure(0.5, 0.5)
@@ -28,6 +31,23 @@ UNINFORMATIVE = InformationStructure(0.5, 0.5)
 # test_records_are_bit_pinned's seeded battery, taken before the closed forms
 # were rewritten as one straight-line solve.
 PINNED_RECORDS_SHA256 = "1f3434b5e654e247936c536701e9df8d5d2d8e0c983165297122d38d73e4c84e"
+
+# Edge values for BeliefSystem's accept path, and the sha256 of the stored
+# triple or the error text of every edge triple, taken before that path existed.
+BELIEF_EDGES = (
+    0.0, -0.0, 1.0, 5e-324, 0.3, EPS, 1.0 - EPS, -EPS, 1.0 + EPS,
+    math.nextafter(-EPS, -1.0), math.nextafter(1.0 + EPS, 2.0), math.nan, math.inf, -math.inf,
+)
+BELIEF_RECORDS_DIGEST = "d01615f2ba0cda1d19b8db1731c8311a72e2ae1bec7e2c417b8504748f61170b"
+
+# sha256 of what _checked_flow, _decompose and average_spillover gave on
+# clip_edge_cases before their builtin min() and max() calls were replaced
+# by comparisons.
+CLIP_RECORDS_DIGEST = "cc9d71f6d7186e5c8b7b99565a08bc879eddfc5338ed6c1edf17fc0e838e960f"
+
+
+def _sha256(records: list[str]) -> str:
+    return hashlib.sha256("\n".join(records).encode()).hexdigest()
 
 
 class TestPosteriorBeliefs:
@@ -102,6 +122,26 @@ class TestBeliefSystem:
         assert b.pr_n == 1.0
         BeliefSystem(0.5, 0.5 + 1e-10, 1.0)  # ordering tie within EPS
 
+    def test_accept_path_agrees_with_field_checks(self):
+        # every triple of BELIEF_EDGES, and beta_a_of_a at and one ulp either
+        # side of the ordering bound beta_n_of_a - EPS
+        triples = [(a, n, pr) for a in BELIEF_EDGES for n in BELIEF_EDGES for pr in BELIEF_EDGES]
+        for n in (0.0, EPS, 0.3, 1.0, 1.0 + EPS):
+            bound = n - EPS
+            for a in (math.nextafter(bound, -math.inf), bound, math.nextafter(bound, math.inf)):
+                triples += [(a, n, 0.5), (a, n, 1.0)]
+        records, stored = [], 0
+        for args in triples:
+            try:
+                b = BeliefSystem(*args)
+            except DomainError as exc:
+                records.append(f"DomainError: {exc}")
+                continue
+            stored += 1
+            records.append(repr((b.beta_a_of_a, b.beta_n_of_a, b.pr_a)))
+        assert 200 < stored < len(records) - 200
+        assert _sha256(records) == BELIEF_RECORDS_DIGEST
+
 
 class TestPartitionValue:
     def test_uninformative_is_zero(self, ex1):
@@ -167,11 +207,11 @@ class TestSolveEquilibrium:
         assert out == solve_equilibrium(s, InformationStructure(*clamped))
         assert 0.0 <= out.beliefs.pr_a <= 1.0
 
-    # An exactly feasible, uninformative structure pi(n|n) = 1 - pi(a|a) near
-    # pi(n|n) = 1: 1 - pi_n_given_n keeps only about 8 digits of pi(a|a), and
-    # dividing by the small pr_a puts beta_a_of_a below beta_n_of_a.  The same
-    # structure solves at pi(a|a) = 1e-6 and 1e-12.
-    @pytest.mark.xfail(raises=DomainError, strict=True, reason="posterior ordering near pi_nn = 1")
+    # An uninformative structure pi(n|n) = 1 - pi(a|a) near pi(n|n) = 1: the
+    # rounded pi_n_given_n leaves pi(a|n) above pi(a|a) by about 5e-17, inside
+    # the EPS feasibility slack, and Bayes would divide that excess by the
+    # small pr_a and put beta_a_of_a below beta_n_of_a by more than EPS.  Such
+    # a pair solves as the uninformative structure it rounds to.
     @pytest.mark.parametrize("pa", [1e-8, 5e-10])
     def test_uninformative_structure_near_pi_nn_one_solves(self, pa):
         out = solve_equilibrium(golden_scenario(p=0.5), InformationStructure(pa, 1.0 - pa))
@@ -283,6 +323,54 @@ class TestSolveEquilibrium:
             "beta_a_a", "beta_n_a", "cost_pop1", "cost_pop2", "cost_avg",
         }
         assert record["branch"] == "informed_switch_all"
+
+
+def clip_edge_values(s) -> list[float]:
+    """Signed zeros, the smallest subnormal, NaN and the infinities, and one
+    ulp either side of 0, both population masses, ``demand`` and the flow
+    slack bounds ``-EPS*demand``, ``EPS*demand`` and ``demand*(1 + EPS)``."""
+    demand, lam = s.demand, s.lambda_
+    values = [0.0, -0.0, 5e-324, math.nan, math.inf, -math.inf]
+    for x in (0.0, lam * demand, (1.0 - lam) * demand, demand, -EPS * demand,
+              EPS * demand, demand * (1.0 + EPS)):
+        values += [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+    return values
+
+
+def _call(f, *args) -> str:
+    try:
+        return repr(f(*args))
+    except ArithmeticError as exc:
+        return f"ArithmeticError: {exc}"
+
+def clip_edge_cases():
+    """Scenarios at informed fractions 0, -0.0, 0.2, 0.5 and 1, and at demand
+    1e8, each with its :func:`clip_edge_values`."""
+    for s in (
+        *(golden_scenario(lambda_=lam) for lam in (0.0, -0.0, 0.2, 0.5, 1.0)),
+        golden_scenario(demand=1e8, tau=4e7),
+    ):
+        yield s, clip_edge_values(s)
+
+
+def test_clips_keep_builtin_min_max_results():
+    # NaN, signed zeros and ties come out as builtin min() and max() gave them
+    records = []
+    for s, values in clip_edge_cases():
+        out = solve_equilibrium(s, InformationStructure(0.6, 0.9))
+        spill_values = values + [math.nextafter(s.tau, -math.inf), s.tau,
+                                 math.nextafter(s.tau, math.inf)]
+        for f in values:
+            records.append(_call(equilibrium._checked_flow, f, s.demand))
+            for f2_a in values:
+                records.append(_call(equilibrium._decompose, s, f, f2_a))
+        for pr_a in (0.0, 0.3, 1.0):
+            beliefs = BeliefSystem(s.p, s.p, pr_a)
+            for f2_n in spill_values:
+                for f2_a in spill_values:
+                    o = replace(out, f2_given_n=f2_n, f2_given_a=f2_a, beliefs=beliefs)
+                    records.append(_call(average_spillover, s, o))
+    assert _sha256(records) == CLIP_RECORDS_DIGEST
 
 
 class TestPopulationCosts:
