@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .design import optimal_design
-from .equilibrium import EquilibriumOutcome, _solve, average_spillover, solve_equilibrium
+from .design import _design, optimal_design
+from .equilibrium import _solve, _spillover, solve_equilibrium
 from .model import (
     SCENARIO_FIELDS,
     DomainError,
@@ -46,7 +46,7 @@ OUTPUT_COLUMNS = {
 OUTPUT_GROUPS = tuple(OUTPUT_COLUMNS)
 _NO_INFO = InformationStructure.no_information()
 _FULL_INFO = InformationStructure.full_revelation()
-_Solver = Callable[[NetworkScenario, InformationStructure], EquilibriumOutcome]
+_Solver = Callable[[NetworkScenario, InformationStructure], tuple]
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,12 @@ class SweepRequest:
         if self.count == 1:
             return [self.start]
         width = (self.stop - self.start) / (self.count - 1)
-        return [self.start + i * width for i in range(self.count)]
+        values = [self.start + i * width for i in range(self.count)]
+        if self.axis != "tau" and values[-1] > 1.0 >= self.stop:
+            # lambda_ and p may not exceed 1, which start + i * width can
+            # overshoot by rounding; other overshoots of stop stay as they are
+            return [self.stop if v > 1.0 else v for v in values]
+        return values
 
 
 def _fmt(value: object) -> str:
@@ -136,21 +141,25 @@ def _cmd_design(args: argparse.Namespace) -> int:
 def _sweep_row(
     request: SweepRequest, s: NetworkScenario, value: float, solve_baseline: _Solver
 ) -> dict[str, object]:
-    solution = optimal_design(s)
-    out = solution.outcome
-    row = solution.to_record()
-    row.update({request.axis: value, "f1_n": out.f1_given_n, "f1_a": out.f1_given_a, "error": ""})
+    """The CSV columns of one point, from the fields that ``optimal_design`` and
+    ``solve_equilibrium`` wrap in records; the baselines' columns are None
+    unless the loss or costs group is requested."""
+    regime, pi_star, out, loss, _ = _design(s)
+    no_info = full_info = None
     if not request.outputs.isdisjoint(("loss", "costs")):
         # _solve is deterministic, so a baseline equal to pi_star reuses its outcome.
-        no_info = out if solution.pi_star == _NO_INFO else solve_baseline(s, _NO_INFO)
-        full_info = out if solution.pi_star == _FULL_INFO else solve_baseline(s, _FULL_INFO)
-        row.update(
-            loss_no_info=average_spillover(s, no_info),
-            loss_full_info=average_spillover(s, full_info),
-            cost_avg_no_info=no_info.cost_avg,
-            cost_avg_full_info=full_info.cost_avg,
-        )
-    return row
+        no_info = out if pi_star == _NO_INFO else solve_baseline(s, _NO_INFO)
+        full_info = out if pi_star == _FULL_INFO else solve_baseline(s, _FULL_INFO)
+    return {
+        request.axis: value, "regime": regime.value,
+        "pi_a_a": pi_star.pi_a_given_a, "pi_n_n": pi_star.pi_n_given_n,
+        "f2_n": out[0], "f2_a": out[1], "f1_n": out[2], "f1_a": out[3], "loss": loss,
+        "loss_no_info": no_info and _spillover(s, no_info[0], no_info[1], no_info[6]),
+        "loss_full_info": full_info and _spillover(s, full_info[0], full_info[1], full_info[6]),
+        "cost_pop1": out[7], "cost_pop2": out[8], "cost_avg": out[9],
+        "cost_avg_no_info": no_info and no_info[9],
+        "cost_avg_full_info": full_info and full_info[9], "error": "",
+    }
 
 
 def _solve_once() -> _Solver:
@@ -158,9 +167,9 @@ def _solve_once() -> _Solver:
 
     Only for scenarios that differ in ``tau`` alone, which ``_solve`` never reads.
     """
-    solved: dict[InformationStructure, EquilibriumOutcome] = {}
+    solved: dict[InformationStructure, tuple] = {}
 
-    def solve(s: NetworkScenario, pi: InformationStructure) -> EquilibriumOutcome:
+    def solve(s: NetworkScenario, pi: InformationStructure) -> tuple:
         outcome = solved.get(pi)
         if outcome is None:
             outcome = solved[pi] = _solve(s, pi)

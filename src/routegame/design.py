@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .equilibrium import EquilibriumOutcome, _slope, _solve, average_spillover
+from .equilibrium import EquilibriumOutcome, _slope, _solve, _spillover
 from .model import EPS, InformationStructure, NetworkScenario, require_valid, tau_bounds
 
 __all__ = [
@@ -46,6 +46,9 @@ class Thresholds:
 
 @dataclass(frozen=True)
 class DesignSolution:
+    """The optimal signal policy of a scenario, its regime, the equilibrium it
+    induces, its spillover loss and the regime thresholds."""
+
     regime: Regime
     pi_star: InformationStructure
     outcome: EquilibriumOutcome
@@ -101,16 +104,15 @@ def lambda_thresholds(s: NetworkScenario) -> tuple[float, float]:
     ``EPS`` above ``lambda_high``.
     """
     require_valid(s)
-    thresholds = _closed_form(s)[3]
-    if thresholds.lambda_low is None:
-        raise RegimeError(
-            f"lambda thresholds are undefined for p={s.p!r} <= p_bar={thresholds.p_bar:.12g}"
-        )
-    return thresholds.lambda_low, thresholds.lambda_high
+    pb, lam_low, lam_high = _closed_form(s)[3]
+    if lam_low is None:
+        raise RegimeError(f"lambda thresholds are undefined for p={s.p!r} <= p_bar={pb:.12g}")
+    return lam_low, lam_high
 
 
-def _closed_form(s: NetworkScenario) -> tuple[Regime, float, float, Thresholds]:
-    """Regime, optimal ``pi(a|a)``, loss and thresholds of a validated scenario.
+def _closed_form(s: NetworkScenario) -> tuple[Regime, float, float, tuple]:
+    """Regime, optimal ``pi(a|a)``, loss and the :class:`Thresholds` fields of a
+    validated scenario.
 
     ``excess``, positive exactly above ``p_bar``, is the numerator of
     ``lambda_low``, both partial structures and their loss."""
@@ -120,7 +122,7 @@ def _closed_form(s: NetworkScenario) -> tuple[Regime, float, float, Thresholds]:
     # No persuasion while the uninformed route-2 flow stays at or below tau;
     # ties classify as no persuasion.
     if s.demand - spread / prior_d <= s.tau:
-        return Regime.NO_PERSUASION, 0.0, 0.0, Thresholds(pb, None, None)
+        return Regime.NO_PERSUASION, 0.0, 0.0, (pb, None, None)
     excess = (s.demand - s.tau) * prior_d - spread
     incident_d = s.alpha1_a + s.alpha2
     lam_low = excess / (s.demand * s.p * incident_d)
@@ -150,7 +152,7 @@ def _closed_form(s: NetworkScenario) -> tuple[Regime, float, float, Thresholds]:
             lam_low = _gap_lambda_low(s, lam_high)
             pi_aa = lam_low / min(lam, lam_high)
             loss = s.p * s.demand * lam_low
-    return regime, pi_aa, loss, Thresholds(pb, lam_low, lam_high)
+    return regime, pi_aa, loss, (pb, lam_low, lam_high)
 
 
 def _gap_lambda_low(s: NetworkScenario, lam_high: float) -> float:
@@ -172,6 +174,14 @@ def optimal_design(s: NetworkScenario) -> DesignSolution:
     structure at the scenario's informed fraction; the closed-form loss is
     cross-checked against the spillover recomputed from those flows.
     """
+    regime, pi_star, outcome, loss, thresholds = _design(s)
+    return DesignSolution(
+        regime, pi_star, EquilibriumOutcome(*outcome), loss, Thresholds(*thresholds)
+    )
+
+
+def _design(s: NetworkScenario) -> tuple:
+    """:func:`optimal_design` with its outcome and thresholds as field tuples."""
     require_valid(s)
     regime, pi_aa, loss, thresholds = _closed_form(s)
     if not -EPS <= pi_aa <= 1.0 + EPS:
@@ -179,9 +189,9 @@ def optimal_design(s: NetworkScenario) -> DesignSolution:
     pi_star = InformationStructure(pi_aa, 1.0)
 
     outcome = _solve(s, pi_star)
-    realized = average_spillover(s, outcome)
+    realized = _spillover(s, outcome[0], outcome[1], outcome[6])
     if abs(realized - loss) > EPS * s.demand:
         raise ArithmeticError(
             f"closed-form loss {loss!r} disagrees with realized spillover {realized!r}"
         )
-    return DesignSolution(regime, pi_star, outcome, loss, thresholds)
+    return regime, pi_star, outcome, loss, thresholds

@@ -154,7 +154,7 @@ def _checked_flow(f: float, demand: float) -> float:
         raise ArithmeticError(f"equilibrium flow {f!r} outside [0, {demand!r}]")
     # min(max(f, 0.0), demand) by comparison, which keeps the builtins'
     # results (first argument on ties, NaN, signed zero) at a fraction of
-    # the call cost; so do the clips of _decompose and average_spillover.
+    # the call cost; so do the clips of _decompose and _spillover.
     if 0.0 > f:
         f = 0.0
     return demand if demand < f else f
@@ -172,11 +172,12 @@ def solve_equilibrium(s: NetworkScenario, pi: InformationStructure) -> Equilibri
     every used route costs the same, so the choice does not matter.
     """
     require_valid(s)
-    return _solve(s, pi)
+    return EquilibriumOutcome(*_solve(s, pi))
 
 
-def _solve(s: NetworkScenario, pi: InformationStructure) -> EquilibriumOutcome:
-    """:func:`solve_equilibrium` for a scenario the caller has validated."""
+def _solve(s: NetworkScenario, pi: InformationStructure) -> tuple:
+    """The :class:`EquilibriumOutcome` fields, in order, of :func:`solve_equilibrium`
+    for a scenario the caller has validated."""
     beliefs = posterior_beliefs(s, pi)
     pr_a = beliefs.pr_a
     lam, demand, a2, spread = s.lambda_, s.demand, s.alpha2, s.cost_spread
@@ -205,7 +206,7 @@ def _solve(s: NetworkScenario, pi: InformationStructure) -> EquilibriumOutcome:
     # An empty population's cost is defined as the other population's.
     cost1 = total1 / pop1 if lam != 0.0 else total2 / pop2
     cost2 = total2 / pop2 if lam != 1.0 else cost1
-    return EquilibriumOutcome(
+    return (
         f2_n, f2_a, demand - f2_n, demand - f2_a, branch, g, beliefs,
         cost1, cost2, lam * cost1 + (1.0 - lam) * cost2,
     )
@@ -323,8 +324,11 @@ def verify_wardrop(
 
 def average_spillover(s: NetworkScenario, outcome: EquilibriumOutcome) -> float:
     """Realized average route-2 flow above the threshold, from an outcome."""
-    beliefs = outcome.beliefs
-    over_a, over_n = outcome.f2_given_a - s.tau, outcome.f2_given_n - s.tau
+    return _spillover(s, outcome.f2_given_n, outcome.f2_given_a, outcome.beliefs)
+
+
+def _spillover(s: NetworkScenario, f2_n: float, f2_a: float, beliefs: BeliefSystem) -> float:
+    over_a, over_n = f2_a - s.tau, f2_n - s.tau
     if 0.0 > over_a:
         over_a = 0.0
     if 0.0 > over_n:

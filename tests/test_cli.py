@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -16,6 +17,7 @@ from conftest import DEMO_CONFIG, golden_scenario, random_scenario
 import routegame
 from routegame import cli, design, equilibrium, model, oracle
 from routegame import optimal_design, solve_equilibrium, tau_bounds, InformationStructure
+from routegame import average_spillover, posterior_beliefs, verify_wardrop
 
 CONFIG_TEXT = DEMO_CONFIG.read_text()
 # Child processes import the routegame this process imported, so the CLI
@@ -61,6 +63,12 @@ DEMO_SWEEP_DIGESTS = {
 }
 # sha256 over the CSVs of the 201-point sweeps in test_random_sweeps_are_byte_pinned.
 RANDOM_SWEEPS_DIGEST = "31c1a8074984241ebaa2d18b830971a04bc5fb2303c84915cb39974053797ce9"
+# (start, count) pairs of a sweep to stop = 1 whose last start + i * width
+# rounds past 1: the pairs with start 0.1 to 0.9 and count 2 to 59 that do.
+PAST_ONE = [
+    (0.1, 8), (0.1, 15), (0.1, 26), (0.1, 29), (0.1, 42), (0.1, 50), (0.1, 51), (0.1, 57),
+    (0.2, 12), (0.2, 23), (0.2, 45),
+]
 
 
 def run_cli(*args: str, cwd=None) -> subprocess.CompletedProcess:
@@ -281,6 +289,27 @@ class TestSweepCommand:
         assert float(rows[-1]["p"]) == 1.0
         assert rows[-1]["error"] == ""
 
+    @pytest.mark.parametrize("axis", ["lambda", "p"])
+    def test_end_point_past_one_is_stop(self, axis):
+        # these sweeps used to end in an error row such as
+        # "lambda_ must lie in [0, 1], got 1.0000000000000002"
+        def sweep(start, count):
+            request = cli.SweepRequest(
+                scenario=golden_scenario(), axis=axis, start=start, stop=1.0, count=count,
+                outputs=frozenset(cli.OUTPUT_GROUPS),
+            )
+            return cli.run_sweep(request)[1]
+
+        at_stop = sweep(1.0, 1)[-1]
+        assert at_stop["error"] == ""
+        for start, count in PAST_ONE:
+            assert start + (count - 1) * ((1.0 - start) / (count - 1)) > 1.0
+            rows = sweep(start, count)
+            assert rows[-1] == at_stop
+            assert all(row[axis] <= 1.0 and row["error"] == "" for row in rows)
+        # the demo p sweep to 0.999 pinned in DEMO_SWEEP_DIGESTS ends at
+        # 0.9990000000000001, a valid prior that the rule leaves alone
+
     def test_start_after_stop_is_usage_error(self, config):
         result = run_cli(
             "sweep", str(config), "--axis", "lambda", "--start", "1", "--stop", "0",
@@ -393,9 +422,9 @@ class TestSweepCommand:
         def failing_at_some_points(s):
             if round(s.lambda_ * 10) % 3 == 1:
                 raise ArithmeticError(message)
-            return optimal_design(s)
+            return design._design(s)
 
-        monkeypatch.setattr(cli, "optimal_design", failing_at_some_points)
+        monkeypatch.setattr(cli, "_design", failing_at_some_points)
         out = tmp_path / "sweep.csv"
         argv = ["sweep", str(DEMO_CONFIG), "--axis", "lambda", "--start", "0", "--stop", "1",
                 "--count", "11", "--out", str(out)]
@@ -416,6 +445,51 @@ class TestSweepCommand:
         assert out.read_bytes() == expected.getvalue().encode()
         errors = [row["error"] for row in csv.DictReader(io.StringIO(out.read_text()))]
         assert errors == [message if i % 3 == 1 else "" for i in range(11)]
+
+    def test_rows_match_public_api(self):
+        # seeded scenarios, demand x1 to x1e4, each axis swept a little past
+        # its valid range so that some points are refused
+        rng = np.random.default_rng(18)
+        baselines = {"no_info": InformationStructure.no_information(),
+                     "full_info": InformationStructure.full_revelation()}
+        solved = refused = 0
+        for i in range(18):
+            s, scale = random_scenario(rng, persuasion=i % 2 == 0), 10.0 ** rng.uniform(0.0, 4.0)
+            s = replace(s, b1=s.b1 * scale, b2=s.b2 * scale, demand=s.demand * scale,
+                        tau=s.tau * scale)
+            axis = ("lambda", "p", "tau")[i % 3]
+            low, high = tau_bounds(s) if axis == "tau" else (0.0, 1.0)
+            margin = 0.05 * (high - low)
+            request = cli.SweepRequest(
+                scenario=s, axis=axis, start=low - margin, stop=high + margin, count=67,
+                outputs=frozenset(cli.OUTPUT_GROUPS),
+            )
+            columns, rows = cli.run_sweep(request)
+            for value, row in zip(request.axis_values(), rows):
+                point = replace(s, **{cli.AXIS_FIELDS[axis]: value})
+                try:
+                    solution = optimal_design(point)
+                    outcomes = {k: solve_equilibrium(point, pi) for k, pi in baselines.items()}
+                except model.InvalidScenarioError as exc:
+                    assert row["error"] == "; ".join(exc.report.violations)
+                    refused += 1
+                    continue
+                except (model.DomainError, ArithmeticError) as exc:
+                    assert row["error"] == str(exc)
+                    continue
+                expected = solution.to_record()
+                expected.update(
+                    {axis: value, "f1_n": solution.outcome.f1_given_n,
+                     "f1_a": solution.outcome.f1_given_a, "error": ""},
+                )
+                for k, out in outcomes.items():
+                    expected[f"loss_{k}"] = average_spillover(point, out)
+                    expected[f"cost_avg_{k}"] = out.cost_avg
+                assert {c: repr(row[c]) for c in columns} == {
+                    c: repr(expected[c]) for c in columns
+                }
+                solved += 1
+        assert solved > 800 and refused > 50
 
     def test_stdout_when_no_out_path(self, config):
         result = run_cli(
@@ -514,6 +588,27 @@ def test_public_names_are_defined_where_listed(module):
         obj = getattr(module, name)
         if callable(obj):
             assert obj.__module__ == module.__name__, name
+
+
+def test_public_records_are_frozen_and_hashable(config):
+    s = model.load_scenario(config)
+    pi = InformationStructure(0.6, 0.9)
+    solution = optimal_design(s)
+    records = [
+        s, pi, model.validate_scenario(s), posterior_beliefs(s, pi), solve_equilibrium(s, pi),
+        solution, solution.thresholds, verify_wardrop(s, pi, (2.0, 4.0)), oracle.GridSpec(),
+        cli.SweepRequest(s, "lambda", 0.0, 1.0, 3, frozenset(cli.OUTPUT_GROUPS)),
+    ]
+    for record in records:
+        hash(record)
+        name = dataclasses.fields(record)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, getattr(record, name))
+    assert {type(r).__name__ for r in records} == {
+        "NetworkScenario", "InformationStructure", "ValidationReport", "BeliefSystem",
+        "EquilibriumOutcome", "DesignSolution", "Thresholds", "VerificationReport",
+        "GridSpec", "SweepRequest",
+    }
 
 
 class TestUsageErrors:
