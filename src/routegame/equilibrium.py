@@ -135,16 +135,15 @@ def posterior_beliefs(s: NetworkScenario, pi: InformationStructure) -> BeliefSys
 
 def _slope(s: NetworkScenario, belief_of_a):
     """Expected route-1 congestion slope under an incident belief in ``[0, 1]``
-    (not checked); pure arithmetic, so it serves scalars and numpy arrays."""
+    (not checked), for scalar floats."""
     return s.alpha1_a * belief_of_a + s.alpha1_n * (1.0 - belief_of_a)
 
 
 def _partition(s: NetworkScenario, spread: float, d_n, d_a):
     """Partition value ``g`` from the flow denominators ``_slope + alpha2`` of
     the two signals: the demand-normalized gap between their split-branch
-    route-2 flows.  ``g >= lambda_`` selects the informed-switch branch.
-
-    Pure arithmetic, so it serves scalars and numpy arrays alike.
+    route-2 flows, for scalar floats.  ``g >= lambda_`` selects the
+    informed-switch branch.
     """
     return spread / (d_n * s.demand) - spread / (d_a * s.demand)
 

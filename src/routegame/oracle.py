@@ -5,15 +5,16 @@ use closed forms.  This module re-derives their answers from first
 principles only, using nothing beyond the cost functions and the
 equilibrium conditions: damped best-response dynamics from several
 restarts for one signal structure, and an exhaustive grid search over
-feasible signal distributions that finds each cell's equilibrium by
-bisection on the uninformed travellers' route-2 mass.  Agreement between
-the two routes is what the test suite leans on.  The dynamics are plain
-Python; only the grid search loads numpy.
+feasible signal distributions that solves each cell's equilibrium
+exactly for the uninformed travellers' route-2 mass.  Agreement between
+the two routes is what the test suite leans on.  Both engines are plain
+Python.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,11 +30,6 @@ __all__ = ["ConvergenceError", "GridSpec", "best_response_equilibrium", "grid_se
 
 ITERATION_CAP = 1_000_000
 
-# Halvings of the uninformed-mass bracket in grid_search_design.  The
-# bracket starts at most ``demand`` wide, and a float significand has 53
-# bits, so 64 halvings take it below one ulp of demand.
-BISECTION_STEPS = 64
-
 
 class ConvergenceError(RuntimeError):
     """The dynamics ran out of iterations or restarts disagreed."""
@@ -46,7 +42,7 @@ class GridSpec:
     ``steps_pi`` is the grid resolution per signal-probability axis of
     :func:`grid_search_design`, and ``tol`` the cost-gap convergence
     tolerance of :func:`best_response_equilibrium` (the grid search
-    bisects to float precision and does not read it).  The restart
+    solves each cell exactly and does not read it).  The restart
     profiles of the dynamics are fixed (``_START_FRACTIONS``).
     """
 
@@ -184,82 +180,76 @@ def best_response_equilibrium(
     return flows[0]
 
 
-def _bisected_flows(s: NetworkScenario, beta, prob):
-    """Equilibrium route-2 flows under signal n and signal a, one column per cell.
-
-    ``beta`` and ``prob`` are ``(2, cells)`` arrays holding each cell's
-    incident belief after, and probability of, signal n and signal a as
-    rows; the result is a ``(2, cells)`` array of the same layout.  At a
-    fixed uninformed route-2 mass ``q``, each informed unit's best
-    response is the route-2 mass that equalizes its two route costs,
-    clipped to its population.  The uninformed cost gap at those responses is
-    non-increasing in ``q`` (the Beckmann potential is convex), so
-    bisection on ``q`` over ``[0, (1 - lambda_) * D]`` finds the
-    equilibrium.
-    """
-    import numpy as np
-
-    demand, a2, b1, b2 = s.demand, s.alpha2, s.b1, s.b2
-    pop_i = s.lambda_ * demand
-    slope = _slope(s, beta)
-    # Route-2 flow at which an informed unit's two route costs are equal.
-    level = (slope * demand + b1 - b2) / (slope + a2)
-
-    lo = np.zeros(prob.shape[1])
-    hi = np.full(prob.shape[1], (1.0 - s.lambda_) * demand)
-    for _ in range(BISECTION_STEPS):
-        q = 0.5 * (lo + hi)
-        f2 = np.clip(level - q, 0.0, pop_i) + q
-        gap = slope * (demand - f2) + b1 - (a2 * f2 + b2)
-        # Positive uninformed gap: route 1 costlier, the equilibrium q is larger.
-        up = (prob * gap).sum(axis=0) > 0.0
-        lo = np.where(up, q, lo)
-        hi = np.where(up, hi, q)
-    q = 0.5 * (lo + hi)
-    return np.clip(level - q, 0.0, pop_i) + q
-
-
 def grid_search_design(
     s: NetworkScenario, spec: GridSpec, trace_path: str | Path | None = None
 ) -> tuple[InformationStructure, float]:
     """Brute-force the planner's problem on a signal-probability grid.
 
     Enumerates feasible ``(pi_a_given_a, pi_n_given_n)`` cells including
-    the feasibility boundary, solves each cell by bisection, and returns
-    the minimizer (ties broken lexicographically).  Optionally writes a
-    per-cell CSV trace.
+    the feasibility boundary, solves each cell's equilibrium exactly, and
+    returns the minimizer (ties broken lexicographically).  Optionally
+    writes a per-cell CSV trace.
+
+    At a fixed uninformed route-2 mass ``q``, an informed unit's best
+    response puts its route-2 flow at the level that equalizes its two
+    route costs, clamped to ``[q, q + lambda_ * D]``.  The uninformed cost
+    gap at those responses is then piecewise linear and non-increasing in
+    ``q``: each informed unit's term, weighted by its signal's probability,
+    is zero on ``[level - lambda_ * D, level]`` and slopes down on either
+    side.  The equilibrium ``q`` is where the gap first reaches zero,
+    clamped to ``[0, (1 - lambda_) * D]``: the start of the later flat
+    stretch if the two overlap, else the linear root between them.  A
+    signal of probability zero leaves both beliefs at the prior, so its
+    stretch is the other's.
     """
-    import numpy as np
-
     require_valid(s)
-    vals = np.linspace(0.0, 1.0, spec.steps_pi)
-    pa = np.repeat(vals, spec.steps_pi)
-    pn = np.tile(vals, spec.steps_pi)
-    feasible = pn >= 1.0 - pa - 1e-12
-    pa, pn = pa[feasible], pn[feasible]
-
-    p = s.p
-    pr_a = p * pa + (1.0 - p) * (1.0 - pn)
-    pr_n = 1.0 - pr_a
-    beta_a = np.divide(p * pa, pr_a, out=np.full(pa.shape, p), where=pr_a > 0.0)
-    beta_n = np.divide(p * (1.0 - pa), pr_n, out=np.full(pa.shape, p), where=pr_n > 0.0)
-
-    f2n, f2a = _bisected_flows(s, np.stack([beta_n, beta_a]), np.stack([pr_n, pr_a]))
-    losses = pr_a * np.maximum(f2a - s.tau, 0.0) + pr_n * np.maximum(f2n - s.tau, 0.0)
+    steps = spec.steps_pi
+    # np.linspace(0.0, 1.0, steps), value for value.
+    vals = [i * (1.0 / (steps - 1)) for i in range(steps - 1)] + [1.0]
+    p, demand, a2, b1, b2, tau = s.p, s.demand, s.alpha2, s.b1, s.b2, s.tau
+    pop_i, pop_u = s.lambda_ * demand, (1.0 - s.lambda_) * demand
+    # Joint probabilities: incident_* of an incident and signal *,
+    # false_alarm of no incident and signal a.
+    false_alarms = [(1.0 - p) * (1.0 - pn) for pn in vals]
+    rows = []
+    best_loss, best = math.inf, None
+    for pa in vals:
+        incident_a, incident_n = p * pa, p * (1.0 - pa)
+        # Feasible cells: pn >= 1 - pa, with slack for the rounded grid values.
+        first = bisect_left(vals, 1.0 - pa - 1e-12)
+        for pn, false_alarm in zip(vals[first:], false_alarms[first:]):
+            pr_a = incident_a + false_alarm
+            pr_n = 1.0 - pr_a
+            m_n = _slope(s, incident_n / pr_n if pr_n > 0.0 else p)
+            m_a = _slope(s, incident_a / pr_a if pr_a > 0.0 else p)
+            d_n, d_a = m_n + a2, m_a + a2
+            # Route-2 flow at which an informed unit's two route costs are equal.
+            level_n = (m_n * demand + b1 - b2) / d_n
+            level_a = (m_a * demand + b1 - b2) / d_a
+            if level_n <= level_a:
+                lo, w_lo, hi, w_hi = level_n, pr_n * d_n, level_a, pr_a * d_a
+            else:
+                lo, w_lo, hi, w_hi = level_a, pr_a * d_a, level_n, pr_n * d_n
+            q = hi - pop_i
+            if q > lo:
+                # Disjoint flat stretches: the linear root between them.
+                q = (w_lo * lo + w_hi * q) / (w_lo + w_hi)
+            if q < 0.0:
+                q = 0.0
+            elif q > pop_u:
+                q = pop_u
+            top = q + pop_i
+            f2n = q if q > level_n else (top if top < level_n else level_n)
+            f2a = q if q > level_a else (top if top < level_a else level_a)
+            loss = pr_a * (f2a - tau if f2a > tau else 0.0)
+            loss += pr_n * (f2n - tau if f2n > tau else 0.0)
+            # Cells run in lexicographic (pa, pn) order, so the first minimum breaks ties.
+            if loss < best_loss:
+                best_loss, best = loss, (pa, pn)
+            if trace_path is not None:
+                g = _partition(s, s.cost_spread, d_n, d_a)
+                rows.append(f"{pa:.12g},{pn:.12g},{g:.12g},{f2n:.12g},{f2a:.12g},{loss:.12g}\n")
 
     if trace_path is not None:
-        d_n, d_a = _slope(s, beta_n) + s.alpha2, _slope(s, beta_a) + s.alpha2
-        g = _partition(s, s.cost_spread, d_n, d_a)
-        np.savetxt(
-            trace_path,
-            np.column_stack([pa, pn, g, f2n, f2a, losses]),
-            fmt="%.12g",
-            delimiter=",",
-            header="pi_a_a,pi_n_n,g_value,f2_n,f2_a,loss",
-            comments="",
-        )
-
-    # Cells are in lexicographic (pa, pn) order, so the first minimum breaks ties.
-    best = int(np.argmin(losses))
-    best_pi = InformationStructure(float(pa[best]), float(pn[best]))
-    return best_pi, float(losses[best])
+        Path(trace_path).write_text("pi_a_a,pi_n_n,g_value,f2_n,f2_a,loss\n" + "".join(rows))
+    return InformationStructure(*best), best_loss

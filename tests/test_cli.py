@@ -526,6 +526,19 @@ class TestOracleCommand:
         run_cli("oracle", str(config), "--grid", "11", "--trace", str(trace))
         assert trace.read_text().startswith("pi_a_a,pi_n_n,g_value")
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ([], "b585323da98b3d2b0225dd66dd9f66238b32bff6da87c984a5ddda2a1599eb15"),
+            (["--grid", "41"], "05fdecb82d2401accd9dc6fe12ee880228f5f70c7568c02d879443dbd7b57ce9"),
+        ],
+        ids=["default", "grid-41"],
+    )
+    def test_json_is_byte_pinned(self, capsys, argv, digest):
+        # sha256 of the JSON record for the demo config
+        assert cli.main(["oracle", str(DEMO_CONFIG), *argv]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
 
 # model, equilibrium, design, then oracle names.
 ALL_NAMES = [
@@ -548,15 +561,18 @@ class TestLazyOracleImport:
             ("-m", "routegame", "validate", "{cfg}"),
             ("-m", "routegame", "design", "{cfg}"),
             ("-m", "routegame", "equilibrium", "{cfg}", "--pi-aa", "1", "--pi-nn", "1"),
-            # the dynamics are plain Python; only the grid search loads numpy
             ("-c", "import routegame as r; r.best_response_equilibrium("
              "r.load_scenario('{cfg}'), r.InformationStructure(0.6, 0.9), r.GridSpec())"),
+            ("-m", "routegame", "oracle", "{cfg}"),
+            ("-m", "routegame", "oracle", "{cfg}", "--grid", "11", "--trace", "{trace}"),
         ],
     )
-    def test_numpy_not_imported(self, config, args):
+    def test_numpy_not_imported(self, config, tmp_path, args):
         # -X importtime lists every module the process imports on stderr
+        trace = tmp_path / "trace.csv"
         result = subprocess.run(
-            [sys.executable, "-X", "importtime", *(a.format(cfg=config) for a in args)],
+            [sys.executable, "-X", "importtime",
+             *(a.format(cfg=config, trace=trace) for a in args)],
             capture_output=True, text=True, env=CHILD_ENV,
         )
         assert result.returncode == 0, result.stderr

@@ -3,7 +3,8 @@
 Every scenario that validates must get a design, the design's flows must
 pass the Wardrop check, and its loss must lie between zero and the better
 of the two baselines (no information, full information), with slack
-``EPS * demand``.  A scenario with one non-finite field must be refused by
+``EPS * demand``, and no grid-search cell may beat it by more than that
+slack.  A scenario with one non-finite field must be refused by
 validation, naming the field, and by every solver with
 :class:`InvalidScenarioError`.
 """
@@ -93,6 +94,13 @@ def test_edge_scenarios_solve_within_baselines(s):
     )
     slack = EPS * s.demand
     assert -slack <= sol.loss <= min(baselines) + slack
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(edge_scenarios())
+def test_grid_search_never_beats_closed_form(s):
+    _, best_loss = grid_search_design(s, GridSpec(steps_pi=5))
+    assert best_loss >= optimal_design(s).loss - EPS * s.demand
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

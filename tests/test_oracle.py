@@ -15,6 +15,7 @@ from routegame import (
     GridSpec,
     InformationStructure,
     InvalidScenarioError,
+    average_spillover,
     best_response_equilibrium,
     grid_search_design,
     optimal_design,
@@ -229,14 +230,17 @@ class TestGridSearchDesign:
         best_pi, best_loss = grid_search_design(
             ex1, GridSpec(steps_pi=41, tol=1e-9), trace_path=trace
         )
-        assert (best_pi, best_loss) == (InformationStructure(0.675, 1.0), 0.4035937499999998)
+        pinned = InformationStructure(0.675, 1.0)
+        assert (best_pi, best_loss) == (pinned, 0.40359375)
+        # the loss of the exact equilibrium at that cell, to the last bit
+        assert best_loss == average_spillover(ex1, solve_equilibrium(ex1, pinned))
         assert hashlib.sha256(trace.read_bytes()).hexdigest() == (
             "4dfb617036bee5e39601bc1dc69423af87b3c21adee43f3aadc03f2d0bb47e13"
         )
 
     def test_traced_flows_match_closed_form(self, ex1, tmp_path):
-        # the bisection runs to float precision, so every traced cell, the
-        # zero-probability-signal corners included, matches the exact solver
+        # each cell is solved exactly, so every traced cell, the
+        # zero-probability-signal corners included, matches the closed-form solver
         rng = np.random.default_rng(7)
         scenarios = [ex1, replace(ex1, lambda_=0.0), replace(ex1, lambda_=1.0)]
         scenarios += [random_scenario(rng) for _ in range(5)]
@@ -252,8 +256,9 @@ class TestGridSearchDesign:
                 assert abs(float(row["f2_a"]) - out.f2_given_a) <= EPS * s.demand
 
     def test_vectorized_posteriors_match_scalar(self, ex1, tmp_path):
-        # the grid engine derives beliefs vectorized; every traced partition
-        # value, zero-probability-signal corners included, must match the scalar op
+        # the grid engine derives beliefs with its own Bayes formula; every traced
+        # partition value, zero-probability-signal corners included, must match
+        # the one posterior_beliefs gives
         trace = tmp_path / "cells.csv"
         grid_search_design(ex1, GridSpec(steps_pi=11, tol=1e-8), trace_path=trace)
         rows = list(csv.DictReader(trace.read_text().splitlines()))
