@@ -16,13 +16,12 @@ import io
 import json
 import math
 import sys
-from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
 from .design import _design, optimal_design
-from .equilibrium import _solve, _spillover, solve_equilibrium
+from .equilibrium import _solved, _spillover, solve_equilibrium
 from .model import (
     SCENARIO_FIELDS,
     DomainError,
@@ -46,7 +45,6 @@ OUTPUT_COLUMNS = {
 OUTPUT_GROUPS = tuple(OUTPUT_COLUMNS)
 _NO_INFO = InformationStructure.no_information()
 _FULL_INFO = InformationStructure.full_revelation()
-_Solver = Callable[[NetworkScenario, InformationStructure], tuple]
 
 
 @dataclass(frozen=True)
@@ -69,8 +67,8 @@ class SweepRequest:
             )
         if self.start > self.stop:
             raise DomainError(f"start {self.start!r} exceeds stop {self.stop!r}")
-        if self.count < 1:
-            raise DomainError(f"count must be positive, got {self.count!r}")
+        if not hasattr(self.count, "__index__") or self.count < 1:
+            raise DomainError(f"count must be a positive integer, got {self.count!r}")
         unknown = self.outputs - set(OUTPUT_GROUPS)
         if unknown:
             raise DomainError(f"unknown outputs: {sorted(unknown)}")
@@ -139,17 +137,16 @@ def _cmd_design(args: argparse.Namespace) -> int:
 
 
 def _sweep_row(
-    request: SweepRequest, s: NetworkScenario, value: float, solve_baseline: _Solver
+    request: SweepRequest, s: NetworkScenario, value: float, solved: dict
 ) -> dict[str, object]:
     """The CSV columns of one point, from the fields that ``optimal_design`` and
     ``solve_equilibrium`` wrap in records; the baselines' columns are None
-    unless the loss or costs group is requested."""
-    regime, pi_star, out, loss, _ = _design(s)
+    unless the loss or costs group is requested; all solves go through ``solved``."""
+    regime, pi_star, out, loss, _ = _design(s, solved)
     no_info = full_info = None
     if not request.outputs.isdisjoint(("loss", "costs")):
-        # _solve is deterministic, so a baseline equal to pi_star reuses its outcome.
-        no_info = out if pi_star == _NO_INFO else solve_baseline(s, _NO_INFO)
-        full_info = out if pi_star == _FULL_INFO else solve_baseline(s, _FULL_INFO)
+        no_info = _solved(solved, s, _NO_INFO)
+        full_info = _solved(solved, s, _FULL_INFO)
     return {
         request.axis: value, "regime": regime.value,
         "pi_a_a": pi_star.pi_a_given_a, "pi_n_n": pi_star.pi_n_given_n,
@@ -162,37 +159,24 @@ def _sweep_row(
     }
 
 
-def _solve_once() -> _Solver:
-    """A ``_solve`` that solves each structure once and then returns that outcome.
-
-    Only for scenarios that differ in ``tau`` alone, which ``_solve`` never reads.
-    """
-    solved: dict[InformationStructure, tuple] = {}
-
-    def solve(s: NetworkScenario, pi: InformationStructure) -> tuple:
-        outcome = solved.get(pi)
-        if outcome is None:
-            outcome = solved[pi] = _solve(s, pi)
-        return outcome
-
-    return solve
-
-
 def run_sweep(request: SweepRequest) -> tuple[list[str], list[dict[str, object]]]:
     """Evaluate every sweep point; per-point failures land in the error column.
 
-    Points that differ only in ``tau`` share their baseline outcomes.
+    ``_solve`` never reads ``tau``, so a ``tau`` sweep keeps one memo of its
+    outcomes; a point on another axis starts its own.
     """
     chosen = (c for g, cols in OUTPUT_COLUMNS.items() if g in request.outputs for c in cols)
     columns = [request.axis, "regime", *chosen, "error"]
     name = AXIS_FIELDS[request.axis]
     values, slot = list(request.scenario.to_dict().values()), SCENARIO_FIELDS.index(name)
-    solve_baseline = _solve_once() if name == "tau" else _solve
     rows = []
+    solved: dict = {}
     for value in request.axis_values():
         values[slot] = value
+        if name != "tau":
+            solved = {}
         try:
-            rows.append(_sweep_row(request, NetworkScenario(*values), value, solve_baseline))
+            rows.append(_sweep_row(request, NetworkScenario(*values), value, solved))
         except InvalidScenarioError as exc:
             rows.append({request.axis: value, "error": "; ".join(exc.report.violations)})
         except (DomainError, ArithmeticError) as exc:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .equilibrium import EquilibriumOutcome, _slope, _solve, _spillover
+from .equilibrium import EquilibriumOutcome, _slope, _solved, _spillover
 from .model import EPS, InformationStructure, NetworkScenario, require_valid, tau_bounds
 
 __all__ = [
@@ -146,7 +146,9 @@ def _closed_form(s: NetworkScenario) -> tuple[Regime, float, float, tuple]:
         else:
             regime = Regime.SATURATED_DISCLOSURE
             scale = (s.demand - s.tau) * incident_d - spread
-        pi_aa = excess / (scale * s.p)
+        # scale is 0 only where pi_aa cannot move the flows: at lambda_ = 0, or at
+        # p = 1 with tau within ulps of its upper bound, where excess == scale gives 1.
+        pi_aa = excess / (scale * s.p) if scale else 1.0
         loss = excess / incident_d
         if not -EPS <= pi_aa <= 1.0 + EPS:
             lam_low = _gap_lambda_low(s, lam_high)
@@ -174,21 +176,22 @@ def optimal_design(s: NetworkScenario) -> DesignSolution:
     structure at the scenario's informed fraction; the closed-form loss is
     cross-checked against the spillover recomputed from those flows.
     """
-    regime, pi_star, outcome, loss, thresholds = _design(s)
+    regime, pi_star, outcome, loss, thresholds = _design(s, {})
     return DesignSolution(
         regime, pi_star, EquilibriumOutcome(*outcome), loss, Thresholds(*thresholds)
     )
 
 
-def _design(s: NetworkScenario) -> tuple:
-    """:func:`optimal_design` with its outcome and thresholds as field tuples."""
+def _design(s: NetworkScenario, solved: dict) -> tuple:
+    """:func:`optimal_design` with its outcome and thresholds as field tuples,
+    the optimum solved through the memo ``solved`` (see ``_solved``)."""
     require_valid(s)
     regime, pi_aa, loss, thresholds = _closed_form(s)
     if not -EPS <= pi_aa <= 1.0 + EPS:
         raise ArithmeticError(f"derived signal probability outside [0, 1]: {pi_aa!r}")
     pi_star = InformationStructure(pi_aa, 1.0)
 
-    outcome = _solve(s, pi_star)
+    outcome = _solved(solved, s, pi_star)
     realized = _spillover(s, outcome[0], outcome[1], outcome[6])
     if abs(realized - loss) > EPS * s.demand:
         raise ArithmeticError(

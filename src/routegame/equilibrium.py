@@ -211,6 +211,17 @@ def _solve(s: NetworkScenario, pi: InformationStructure) -> tuple:
     )
 
 
+def _solved(solved: dict, s: NetworkScenario, pi: InformationStructure) -> tuple:
+    """``_solve(s, pi)`` memoized in ``solved`` by ``pi``'s field pair, which is equal
+    exactly when the structures are and hashes without a Python-level call.  ``_solve``
+    never reads ``tau``, so ``solved`` may hold scenarios differing from ``s`` in it alone."""
+    key = (pi.pi_a_given_a, pi.pi_n_given_n)
+    outcome = solved.get(key)
+    if outcome is None:
+        outcome = solved[key] = _solve(s, pi)
+    return outcome
+
+
 def _decompose(s: NetworkScenario, f2_n: float, f2_a: float) -> tuple[float, ...]:
     """Canonical decomposition of flows in ``[0, demand]``: the route-2 masses
     ``(q1_n, q1_a, q2)`` of the informed population under each signal and of

@@ -282,9 +282,10 @@ def parse_scenario(text: str) -> NetworkScenario:
 
 
 def load_scenario(path: str | Path) -> NetworkScenario:
-    """Read and parse a UTF-8 scenario file; other bytes are a parse error."""
+    """Read and parse a UTF-8 scenario file, BOM or not; other bytes are a parse error."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # as utf-8-sig decodes, but error offsets still count the mark
+        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ScenarioParseError(f"not valid UTF-8 at byte {exc.start}: {exc.reason}") from None
     return parse_scenario(text)

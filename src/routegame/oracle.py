@@ -50,8 +50,8 @@ class GridSpec:
     tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.steps_pi < 2:
-            raise DomainError(f"steps_pi must be at least 2, got {self.steps_pi!r}")
+        if not hasattr(self.steps_pi, "__index__") or self.steps_pi < 2:
+            raise DomainError(f"steps_pi must be an integer of at least 2, got {self.steps_pi!r}")
         if not 0.0 < self.tol < math.inf:
             raise DomainError(f"tol must be positive and finite, got {self.tol!r}")
 

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import dataclasses
 import hashlib
@@ -318,6 +319,27 @@ class TestSweepCommand:
         assert result.returncode == 2
 
     @pytest.mark.parametrize(
+        "count", [3.0, 2.5, "3", np.float64(3)], ids=["float", "non-whole", "str", "numpy-float"]
+    )
+    def test_non_integer_count_rejected(self, count):
+        # a float used to pass here and fail in axis_values with TypeError
+        with pytest.raises(model.DomainError, match="count must be a positive integer"):
+            cli.SweepRequest(
+                scenario=golden_scenario(), axis="lambda", start=0.0, stop=1.0, count=count,
+                outputs=frozenset(cli.OUTPUT_GROUPS),
+            )
+
+    def test_numpy_integer_count_accepted(self):
+        requests = [
+            cli.SweepRequest(
+                scenario=golden_scenario(), axis="lambda", start=0.0, stop=1.0, count=count,
+                outputs=frozenset(cli.OUTPUT_GROUPS),
+            )
+            for count in (np.int64(3), 3)
+        ]
+        assert cli.run_sweep(requests[0]) == cli.run_sweep(requests[1])
+
+    @pytest.mark.parametrize(
         "start, stop",
         [("0", "inf"), ("-inf", "1"), ("nan", "1"), ("0", "nan"), ("-1e308", "1e308")],
     )
@@ -406,23 +428,32 @@ class TestSweepCommand:
         # is no information or full information solve two structures, not three
         assert calls == {"validate_scenario": 101, "posterior_beliefs": 289}
 
+    def test_p_sweep_solves_each_point_apart(self, tmp_path, monkeypatch):
+        argv = ["sweep", str(DEMO_CONFIG), "--axis", "p", "--start", "0", "--stop", "0.999",
+                "--count", "101", "--out", str(tmp_path / "sweep.csv")]
+        calls = self.count_calls(monkeypatch, argv)
+        # the equilibrium depends on p, so no solve is shared between points;
+        # within a point each distinct structure is solved once
+        assert calls == {"validate_scenario": 101, "posterior_beliefs": 236}
+
     def test_tau_sweep_solves_each_baseline_once(self, tmp_path, monkeypatch):
         low, high = tau_bounds(golden_scenario())
         argv = ["sweep", str(DEMO_CONFIG), "--axis", "tau", "--start", repr(low),
                 "--stop", repr(high), "--count", "101", "--out", str(tmp_path / "sweep.csv")]
         calls = self.count_calls(monkeypatch, argv)
-        # the equilibrium does not depend on tau, so the 101 points solve
-        # their optima and share one solve of each baseline (227 updates
-        # when every point solved its own baselines)
-        assert calls == {"validate_scenario": 101, "posterior_beliefs": 103}
+        # the equilibrium does not depend on tau, so the 101 points share one
+        # solve of each distinct structure: the two baselines, which are also
+        # the optimum of 76 points, and the 25 partial and saturated optima
+        # (103 updates when only the baselines were shared, 227 before that)
+        assert calls == {"validate_scenario": 101, "posterior_beliefs": 27}
 
     def test_error_rows_are_quoted_like_csv_writer(self, tmp_path, monkeypatch):
         message = 'a, "b"'
 
-        def failing_at_some_points(s):
+        def failing_at_some_points(s, solved):
             if round(s.lambda_ * 10) % 3 == 1:
                 raise ArithmeticError(message)
-            return design._design(s)
+            return design._design(s, solved)
 
         monkeypatch.setattr(cli, "_design", failing_at_some_points)
         out = tmp_path / "sweep.csv"
@@ -631,13 +662,22 @@ class TestUsageErrors:
     def test_unknown_command(self):
         assert run_cli("frobnicate").returncode == 2
 
+    def test_config_with_byte_order_mark_loads(self, tmp_path, capsys):
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(codecs.BOM_UTF8 + DEMO_CONFIG.read_bytes())
+        assert model.load_scenario(path) == model.load_scenario(DEMO_CONFIG)
+        assert cli.main(["validate", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize(
         "content, message",
         [
             (b"alpha1_a = fast\n", "invalid number"),
             (b"alpha1_a = 3.0\xff\n", "not valid UTF-8 at byte 14"),
+            # the offset counts the byte-order mark, as a hex dump of the file does
+            (codecs.BOM_UTF8 + b"alpha1_a = 3.0\xff\n", "not valid UTF-8 at byte 17"),
         ],
-        ids=["bad-number", "not-utf8"],
+        ids=["bad-number", "not-utf8", "bom-not-utf8"],
     )
     def test_garbled_config_is_parse_error(self, tmp_path, content, message):
         path = tmp_path / "garbled.cfg"

@@ -12,7 +12,9 @@ validation, naming the field, and by every solver with
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from conftest import random_scenario
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -94,6 +96,31 @@ def test_edge_scenarios_solve_within_baselines(s):
     )
     slack = EPS * s.demand
     assert -slack <= sol.loss <= min(baselines) + slack
+
+
+@pytest.mark.parametrize("ulps", [1, 2, 3])
+def test_certain_incident_just_below_upper_tau_bound_solves(ulps):
+    # With p = 1 and tau a few ulps below tau_bounds(s)[1], the saturated
+    # regime's divisor (demand - tau) * (alpha1_a + alpha2) - cost_spread
+    # rounds to 0 for some draws (222 of the 4,000 at one ulp, draw 2 at
+    # lambda_ = 1 among them).  The checks are those of the test above, whose
+    # body is left alone: derandomize=True seeds its draws from its source.
+    rng = np.random.default_rng(3)
+    structures = (InformationStructure.no_information(), InformationStructure.full_revelation())
+    for s in (random_scenario(rng, persuasion=True) for _ in range(2000)):
+        tau = tau_bounds(s)[1]
+        for _ in range(ulps):
+            tau = math.nextafter(tau, -math.inf)
+        for lam in (1.0, 0.9):
+            point = replace(s, p=1.0, lambda_=lam, tau=tau)
+            sol = optimal_design(point)
+            flows = (sol.outcome.f2_given_n, sol.outcome.f2_given_a)
+            assert verify_wardrop(point, sol.pi_star, flows).ok
+            baselines = [average_spillover(point, solve_equilibrium(point, pi)) for pi in structures]
+            slack = EPS * point.demand
+            assert -slack <= sol.loss <= min(baselines) + slack
+            low, high = lambda_thresholds(point)
+            assert -EPS < low <= high + EPS
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

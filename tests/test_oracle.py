@@ -92,10 +92,19 @@ class TestGridSpec:
         assert spec.steps_pi == 201 and spec.tol > 0
         assert [f.name for f in fields(GridSpec)] == ["steps_pi", "tol"]
 
-    @pytest.mark.parametrize("kwargs", [{"steps_pi": 1}, {"tol": float("nan")}, {"tol": 0.0}, {"tol": float("inf")}])
+    # a float steps_pi used to pass here and fail in the grid search with TypeError
+    @pytest.mark.parametrize("kwargs", [
+        {"steps_pi": 1}, {"tol": float("nan")}, {"tol": 0.0}, {"tol": float("inf")},
+        {"steps_pi": 11.0}, {"steps_pi": "11"}, {"steps_pi": np.float64(11)},
+    ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(DomainError):
             GridSpec(**kwargs)
+
+    def test_numpy_integer_steps_accepted(self):
+        s = golden_scenario()
+        spec = GridSpec(steps_pi=np.int64(11))
+        assert grid_search_design(s, spec) == grid_search_design(s, GridSpec(steps_pi=11))
 
 
 class TestBestResponseEquilibrium:
