@@ -119,9 +119,9 @@ def _closed_form(s: NetworkScenario) -> tuple[Regime, float, float, tuple]:
     spread = s.cost_spread
     pb = _p_bar(s, spread)
     prior_d = _slope(s, s.p) + s.alpha2
-    # No persuasion while the uninformed route-2 flow stays at or below tau;
-    # ties classify as no persuasion.
-    if s.demand - spread / prior_d <= s.tau:
+    # No persuasion at or below p_bar or while the uninformed route-2 flow stays at or
+    # below tau; the two tests round apart near p = 1, and ties classify as no persuasion.
+    if s.p <= pb or s.demand - spread / prior_d <= s.tau:
         return Regime.NO_PERSUASION, 0.0, 0.0, (pb, None, None)
     excess = (s.demand - s.tau) * prior_d - spread
     incident_d = s.alpha1_a + s.alpha2

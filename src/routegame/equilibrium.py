@@ -125,9 +125,12 @@ def posterior_beliefs(s: NetworkScenario, pi: InformationStructure) -> BeliefSys
     """
     p, pi_aa, pi_an = s.p, pi.pi_a_given_a, pi.pi_a_given_n
     pr_a = p * pi_aa + (1.0 - p) * pi_an
-    if pi_an > pi_aa:
+    # Exactly pi_nn < 1 - pi_aa: neither rounded test can hold falsely, and one is exact.
+    if pi.pi_n_given_n < 1.0 - pi_aa or pi_an > pi_aa:
         return BeliefSystem(p, p, pr_a)
     pr_n = 1.0 - pr_a
+    if pr_n < 2.0**-20:  # a rare signal n: 1 - pr_a cancels, the joint terms do not
+        pr_n = p * pi.pi_n_given_a + (1.0 - p) * pi.pi_n_given_n
     beta_a = p * pi_aa / pr_a if pr_a > 0.0 else p
     beta_n = p * pi.pi_n_given_a / pr_n if pr_n > 0.0 else p
     return BeliefSystem(beta_a, beta_n, pr_a)
@@ -137,15 +140,6 @@ def _slope(s: NetworkScenario, belief_of_a):
     """Expected route-1 congestion slope under an incident belief in ``[0, 1]``
     (not checked), for scalar floats."""
     return s.alpha1_a * belief_of_a + s.alpha1_n * (1.0 - belief_of_a)
-
-
-def _partition(s: NetworkScenario, spread: float, d_n, d_a):
-    """Partition value ``g`` from the flow denominators ``_slope + alpha2`` of
-    the two signals: the demand-normalized gap between their split-branch
-    route-2 flows, for scalar floats.  ``g >= lambda_`` selects the
-    informed-switch branch.
-    """
-    return spread / (d_n * s.demand) - spread / (d_a * s.demand)
 
 
 def _checked_flow(f: float, demand: float) -> float:
@@ -182,7 +176,8 @@ def _solve(s: NetworkScenario, pi: InformationStructure) -> tuple:
     lam, demand, a2, spread = s.lambda_, s.demand, s.alpha2, s.cost_spread
     m_n, m_a = _slope(s, beliefs.beta_n_of_a), _slope(s, beliefs.beta_a_of_a)
     d_n, d_a = m_n + a2, m_a + a2
-    g = _partition(s, spread, d_n, d_a)
+    # Partition value, the split-branch flow gap over D; g >= lambda_ selects the switch branch.
+    g = spread / (d_n * demand) - spread / (d_a * demand)
 
     if g >= lam:
         branch = Branch.INFORMED_SWITCH_ALL

@@ -2,13 +2,14 @@
 
 The solvers in :mod:`routegame.equilibrium` and :mod:`routegame.design`
 use closed forms.  This module re-derives their answers from first
-principles only, using nothing beyond the cost functions and the
-equilibrium conditions: damped best-response dynamics from several
+principles only, using nothing beyond Bayes' rule, the cost functions and
+the equilibrium conditions: damped best-response dynamics from several
 restarts for one signal structure, and an exhaustive grid search over
 feasible signal distributions that solves each cell's equilibrium
 exactly for the uninformed travellers' route-2 mass.  Agreement between
 the two routes is what the test suite leans on.  Both engines are plain
-Python.
+Python, share one Bayes update and import nothing from the modules they
+check, so a defect there cannot move an answer and its check together.
 """
 
 from __future__ import annotations
@@ -18,13 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
-from .equilibrium import _partition, _slope, posterior_beliefs
-from .model import (
-    DomainError,
-    InformationStructure,
-    NetworkScenario,
-    require_valid,
-)
+from .model import DomainError, InformationStructure, NetworkScenario, require_valid
 
 __all__ = ["ConvergenceError", "GridSpec", "best_response_equilibrium", "grid_search_design"]
 
@@ -69,6 +64,28 @@ _START_FRACTIONS = (
 )
 
 
+def _beliefs(s: NetworkScenario, pa: float, pns):
+    """Bayes' rule for the structures ``(pa, pn)``, ``pn`` in ``pns``: yields per structure
+    ``(pn, pr_n, pr_a, m_n, m_a)``, its signal probabilities and the route-1 slopes
+    under the posteriors they induce.  A signal of probability zero keeps the prior,
+    as do both signals of a pair only the ``EPS`` slack admits, ``pn < 1 - pa``."""
+    p, a1a, a1n = s.p, s.alpha1_a, s.alpha1_n
+    incident_a, pna = p * pa, 1.0 - pa
+    incident_n, nominal = p * pna, 1.0 - p
+    for pn in pns:
+        pan = 1.0 - pn
+        pr_a = incident_a + nominal * pan
+        pr_n = 1.0 - pr_a
+        if pr_n < 2.0**-20:  # a rare signal n: 1 - pr_a cancels, the joint terms do not
+            pr_n = incident_n + nominal * pn
+        b_n = incident_n / pr_n if pr_n > 0.0 else p
+        b_a = incident_a / pr_a if pr_a > 0.0 else p
+        # Exactly pn < 1 - pa: neither rounded test can hold falsely, and one is exact.
+        if pn < pna or pan > pa:
+            b_n = b_a = p
+        yield pn, pr_n, pr_a, a1a * b_n + a1n * (1.0 - b_n), a1a * b_a + a1n * (1.0 - b_a)
+
+
 def best_response_equilibrium(
     s: NetworkScenario, pi: InformationStructure, spec: GridSpec
 ) -> tuple[float, float]:
@@ -88,13 +105,10 @@ def best_response_equilibrium(
     fails.  Returns the first restart's flows.
     """
     require_valid(s)
-    beliefs = posterior_beliefs(s, pi)
+    ((_, pr_n, pr_a, slope_n, slope_a),) = _beliefs(s, pi.pi_a_given_a, (pi.pi_n_given_n,))
     demand, a2, b1, b2, tol = s.demand, s.alpha2, s.b1, s.b2, spec.tol
     pop_i, pop_u = s.lambda_ * demand, (1.0 - s.lambda_) * demand
     used_eps = 1e-12 * demand
-    slope_n, slope_a = _slope(s, beliefs.beta_n_of_a), _slope(s, beliefs.beta_a_of_a)
-    pr_a = beliefs.pr_a
-    pr_n = 1.0 - pr_a
     d_n, d_a = slope_n + a2, slope_a + a2
     d_u = pr_a * d_a + pr_n * d_n
     cap = ITERATION_CAP
@@ -206,22 +220,13 @@ def grid_search_design(
     steps = spec.steps_pi
     # np.linspace(0.0, 1.0, steps), value for value.
     vals = [i * (1.0 / (steps - 1)) for i in range(steps - 1)] + [1.0]
-    p, demand, a2, b1, b2, tau = s.p, s.demand, s.alpha2, s.b1, s.b2, s.tau
+    demand, a2, b1, b2, tau = s.demand, s.alpha2, s.b1, s.b2, s.tau
     pop_i, pop_u = s.lambda_ * demand, (1.0 - s.lambda_) * demand
-    # Joint probabilities: incident_* of an incident and signal *,
-    # false_alarm of no incident and signal a.
-    false_alarms = [(1.0 - p) * (1.0 - pn) for pn in vals]
     rows = []
     best_loss, best = math.inf, None
     for pa in vals:
-        incident_a, incident_n = p * pa, p * (1.0 - pa)
         # Feasible cells: pn >= 1 - pa, with slack for the rounded grid values.
-        first = bisect_left(vals, 1.0 - pa - 1e-12)
-        for pn, false_alarm in zip(vals[first:], false_alarms[first:]):
-            pr_a = incident_a + false_alarm
-            pr_n = 1.0 - pr_a
-            m_n = _slope(s, incident_n / pr_n if pr_n > 0.0 else p)
-            m_a = _slope(s, incident_a / pr_a if pr_a > 0.0 else p)
+        for pn, pr_n, pr_a, m_n, m_a in _beliefs(s, pa, vals[bisect_left(vals, 1.0 - pa - 1e-12):]):
             d_n, d_a = m_n + a2, m_a + a2
             # Route-2 flow at which an informed unit's two route costs are equal.
             level_n = (m_n * demand + b1 - b2) / d_n
@@ -247,7 +252,7 @@ def grid_search_design(
             if loss < best_loss:
                 best_loss, best = loss, (pa, pn)
             if trace_path is not None:
-                g = _partition(s, s.cost_spread, d_n, d_a)
+                g = s.cost_spread / (d_n * demand) - s.cost_spread / (d_a * demand)
                 rows.append(f"{pa:.12g},{pn:.12g},{g:.12g},{f2n:.12g},{f2a:.12g},{loss:.12g}\n")
 
     if trace_path is not None:

@@ -24,6 +24,8 @@ from routegame import (
     InformationStructure,
     InvalidScenarioError,
     NetworkScenario,
+    Regime,
+    RegimeError,
     average_spillover,
     best_response_equilibrium,
     grid_search_design,
@@ -98,13 +100,16 @@ def test_edge_scenarios_solve_within_baselines(s):
     assert -slack <= sol.loss <= min(baselines) + slack
 
 
-@pytest.mark.parametrize("ulps", [1, 2, 3])
+@pytest.mark.parametrize("ulps", [0, 1, 2, 3])
 def test_certain_incident_just_below_upper_tau_bound_solves(ulps):
     # With p = 1 and tau a few ulps below tau_bounds(s)[1], the saturated
     # regime's divisor (demand - tau) * (alpha1_a + alpha2) - cost_spread
     # rounds to 0 for some draws (222 of the 4,000 at one ulp, draw 2 at
     # lambda_ = 1 among them).  The checks are those of the test above, whose
     # body is left alone: derandomize=True seeds its draws from its source.
+    # There, too, the uninformed route-2 flow and p_bar round apart (draw 2 at
+    # one ulp and lambda_ = 1 is flow above tau, p_bar = 1.0), and the regime
+    # must still agree with the thresholds: none at or below p_bar.
     rng = np.random.default_rng(3)
     structures = (InformationStructure.no_information(), InformationStructure.full_revelation())
     for s in (random_scenario(rng, persuasion=True) for _ in range(2000)):
@@ -119,8 +124,15 @@ def test_certain_incident_just_below_upper_tau_bound_solves(ulps):
             baselines = [average_spillover(point, solve_equilibrium(point, pi)) for pi in structures]
             slack = EPS * point.demand
             assert -slack <= sol.loss <= min(baselines) + slack
-            low, high = lambda_thresholds(point)
-            assert -EPS < low <= high + EPS
+            if sol.regime is Regime.NO_PERSUASION:
+                assert sol.thresholds.lambda_low is sol.thresholds.lambda_high is None
+                with pytest.raises(RegimeError):
+                    lambda_thresholds(point)
+            else:
+                assert point.p > sol.thresholds.p_bar
+                low, high = lambda_thresholds(point)
+                assert -EPS < low <= high + EPS
+
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -1,8 +1,11 @@
+import ast
 import csv
 import hashlib
+import sys
 import math
 import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,9 +268,9 @@ class TestGridSearchDesign:
                 assert abs(float(row["f2_a"]) - out.f2_given_a) <= EPS * s.demand
 
     def test_vectorized_posteriors_match_scalar(self, ex1, tmp_path):
-        # the grid engine derives beliefs with its own Bayes formula; every traced
-        # partition value, zero-probability-signal corners included, must match
-        # the one posterior_beliefs gives
+        # two independent Bayes updates: the oracle's own (_beliefs) and the closed
+        # form's posterior_beliefs; every traced partition value, zero-probability-
+        # signal corners included, must match the one solve_equilibrium derives
         trace = tmp_path / "cells.csv"
         grid_search_design(ex1, GridSpec(steps_pi=11, tol=1e-8), trace_path=trace)
         rows = list(csv.DictReader(trace.read_text().splitlines()))
@@ -276,3 +279,20 @@ class TestGridSearchDesign:
             pi = InformationStructure(float(row["pi_a_a"]), float(row["pi_n_n"]))
             g = solve_equilibrium(ex1, pi).g_value
             assert float(row["g_value"]) == pytest.approx(g, abs=1e-11)
+
+
+def test_oracle_imports_only_the_standard_library_and_model():
+    # The oracles certify the closed forms, so they share none of their code:
+    # a defect there would otherwise move an answer and its check together.
+    imported = []
+    for node in ast.walk(ast.parse(Path(oracle_mod.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = "routegame." * bool(node.level) + (node.module or "")
+            # "from . import x" imports the submodule x.
+            imported += [module] if node.module else [module + a.name for a in node.names]
+    assert imported
+    for name in imported:
+        assert not name.startswith(("routegame.equilibrium", "routegame.design")), name
+        assert name == "routegame.model" or name.split(".")[0] in sys.stdlib_module_names, name
