@@ -43,8 +43,6 @@ OUTPUT_COLUMNS = {
     "costs": ("cost_pop1", "cost_pop2", "cost_avg", "cost_avg_no_info", "cost_avg_full_info"),
 }
 OUTPUT_GROUPS = tuple(OUTPUT_COLUMNS)
-_NO_INFO = InformationStructure.no_information()
-_FULL_INFO = InformationStructure.full_revelation()
 
 
 @dataclass(frozen=True)
@@ -141,18 +139,19 @@ def _sweep_row(
 ) -> dict[str, object]:
     """The CSV columns of one point, from the fields that ``optimal_design`` and
     ``solve_equilibrium`` wrap in records; the baselines' columns are None
-    unless the loss or costs group is requested; all solves go through ``solved``."""
-    regime, pi_star, out, loss, _ = _design(s, solved)
+    unless the loss or costs group is requested; all solves go through ``solved``, the
+    baselines as the pairs of ``InformationStructure.no_information()`` and
+    ``full_revelation()``."""
+    regime, pi_aa, out, loss, _ = _design(s, solved)
     no_info = full_info = None
     if not request.outputs.isdisjoint(("loss", "costs")):
-        no_info = _solved(solved, s, _NO_INFO)
-        full_info = _solved(solved, s, _FULL_INFO)
+        no_info = _solved(solved, s, 0.0, 1.0)
+        full_info = _solved(solved, s, 1.0, 1.0)
     return {
-        request.axis: value, "regime": regime.value,
-        "pi_a_a": pi_star.pi_a_given_a, "pi_n_n": pi_star.pi_n_given_n,
+        request.axis: value, "regime": regime.value, "pi_a_a": pi_aa, "pi_n_n": 1.0,
         "f2_n": out[0], "f2_a": out[1], "f1_n": out[2], "f1_a": out[3], "loss": loss,
-        "loss_no_info": no_info and _spillover(s, no_info[0], no_info[1], no_info[6]),
-        "loss_full_info": full_info and _spillover(s, full_info[0], full_info[1], full_info[6]),
+        "loss_no_info": no_info and _spillover(s, no_info[0], no_info[1], no_info[6][2]),
+        "loss_full_info": full_info and _spillover(s, full_info[0], full_info[1], full_info[6][2]),
         "cost_pop1": out[7], "cost_pop2": out[8], "cost_avg": out[9],
         "cost_avg_no_info": no_info and no_info[9],
         "cost_avg_full_info": full_info and full_info[9], "error": "",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .equilibrium import EquilibriumOutcome, _slope, _solved, _spillover
+from .equilibrium import EquilibriumOutcome, _outcome, _slope, _solved, _spillover
 from .model import EPS, InformationStructure, NetworkScenario, require_valid, tau_bounds
 
 __all__ = [
@@ -176,25 +176,30 @@ def optimal_design(s: NetworkScenario) -> DesignSolution:
     structure at the scenario's informed fraction; the closed-form loss is
     cross-checked against the spillover recomputed from those flows.
     """
-    regime, pi_star, outcome, loss, thresholds = _design(s, {})
+    regime, pi_aa, outcome, loss, thresholds = _design(s, {})
     return DesignSolution(
-        regime, pi_star, EquilibriumOutcome(*outcome), loss, Thresholds(*thresholds)
+        regime, InformationStructure(pi_aa, 1.0), _outcome(outcome), loss, Thresholds(*thresholds)
     )
 
 
 def _design(s: NetworkScenario, solved: dict) -> tuple:
-    """:func:`optimal_design` with its outcome and thresholds as field tuples,
-    the optimum solved through the memo ``solved`` (see ``_solved``)."""
+    """:func:`optimal_design` with the optimum ``InformationStructure(pi_aa, 1.0)`` as
+    its ``pi_aa`` and the outcome and thresholds as field tuples, the optimum solved
+    through the memo ``solved`` (see ``_solved``)."""
     require_valid(s)
     regime, pi_aa, loss, thresholds = _closed_form(s)
     if not -EPS <= pi_aa <= 1.0 + EPS:
         raise ArithmeticError(f"derived signal probability outside [0, 1]: {pi_aa!r}")
-    pi_star = InformationStructure(pi_aa, 1.0)
+    # InformationStructure's clamp of the EPS slack, min(max(pi_aa, 0.0), 1.0)
+    if 0.0 > pi_aa:
+        pi_aa = 0.0
+    if 1.0 < pi_aa:
+        pi_aa = 1.0
 
-    outcome = _solved(solved, s, pi_star)
-    realized = _spillover(s, outcome[0], outcome[1], outcome[6])
+    outcome = _solved(solved, s, pi_aa, 1.0)
+    realized = _spillover(s, outcome[0], outcome[1], outcome[6][2])
     if abs(realized - loss) > EPS * s.demand:
         raise ArithmeticError(
             f"closed-form loss {loss!r} disagrees with realized spillover {realized!r}"
         )
-    return regime, pi_star, outcome, loss, thresholds
+    return regime, pi_aa, outcome, loss, thresholds

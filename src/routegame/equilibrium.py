@@ -123,17 +123,30 @@ def posterior_beliefs(s: NetworkScenario, pi: InformationStructure) -> BeliefSys
     feasibility slack of :class:`InformationStructure` admits: it is solved
     as the uninformative structure it rounds to.
     """
-    p, pi_aa, pi_an = s.p, pi.pi_a_given_a, pi.pi_a_given_n
+    return BeliefSystem(*_posteriors(s, pi.pi_a_given_a, pi.pi_n_given_n))
+
+
+def _posteriors(s: NetworkScenario, pi_aa: float, pi_nn: float) -> tuple[float, float, float]:
+    """:func:`posterior_beliefs` for the structure ``(pi_aa, pi_nn)``, its
+    :class:`BeliefSystem` fields ``(beta_a_of_a, beta_n_of_a, pr_a)`` as a tuple.
+
+    Beliefs outside the valid range are passed to :class:`BeliefSystem`, which
+    raises its :class:`DomainError` or accepts them within its ``EPS`` slack.
+    """
+    p, pi_an = s.p, 1.0 - pi_nn
     pr_a = p * pi_aa + (1.0 - p) * pi_an
     # Exactly pi_nn < 1 - pi_aa: neither rounded test can hold falsely, and one is exact.
-    if pi.pi_n_given_n < 1.0 - pi_aa or pi_an > pi_aa:
-        return BeliefSystem(p, p, pr_a)
-    pr_n = 1.0 - pr_a
-    if pr_n < 2.0**-20:  # a rare signal n: 1 - pr_a cancels, the joint terms do not
-        pr_n = p * pi.pi_n_given_a + (1.0 - p) * pi.pi_n_given_n
-    beta_a = p * pi_aa / pr_a if pr_a > 0.0 else p
-    beta_n = p * pi.pi_n_given_a / pr_n if pr_n > 0.0 else p
-    return BeliefSystem(beta_a, beta_n, pr_a)
+    if pi_nn < 1.0 - pi_aa or pi_an > pi_aa:
+        beta_a = beta_n = p
+    else:
+        pr_n = 1.0 - pr_a
+        if pr_n < 2.0**-20:  # a rare signal n: 1 - pr_a cancels, the joint terms do not
+            pr_n = p * (1.0 - pi_aa) + (1.0 - p) * pi_nn
+        beta_a = p * pi_aa / pr_a if pr_a > 0.0 else p
+        beta_n = p * (1.0 - pi_aa) / pr_n if pr_n > 0.0 else p
+    if not (0.0 <= beta_n <= beta_a <= 1.0 and 0.0 <= pr_a <= 1.0):
+        BeliefSystem(beta_a, beta_n, pr_a)
+    return beta_a, beta_n, pr_a
 
 
 def _slope(s: NetworkScenario, belief_of_a):
@@ -165,16 +178,24 @@ def solve_equilibrium(s: NetworkScenario, pi: InformationStructure) -> Equilibri
     every used route costs the same, so the choice does not matter.
     """
     require_valid(s)
-    return EquilibriumOutcome(*_solve(s, pi))
+    return _outcome(_solve(s, pi.pi_a_given_a, pi.pi_n_given_n))
 
 
-def _solve(s: NetworkScenario, pi: InformationStructure) -> tuple:
+def _outcome(fields: tuple) -> EquilibriumOutcome:
+    """The :class:`EquilibriumOutcome` of a field tuple from :func:`_solve`."""
+    f2_n, f2_a, f1_n, f1_a, branch, g, beliefs, cost1, cost2, cost_avg = fields
+    return EquilibriumOutcome(
+        f2_n, f2_a, f1_n, f1_a, branch, g, BeliefSystem(*beliefs), cost1, cost2, cost_avg
+    )
+
+
+def _solve(s: NetworkScenario, pi_aa: float, pi_nn: float) -> tuple:
     """The :class:`EquilibriumOutcome` fields, in order, of :func:`solve_equilibrium`
-    for a scenario the caller has validated."""
-    beliefs = posterior_beliefs(s, pi)
-    pr_a = beliefs.pr_a
+    for the structure ``(pi_aa, pi_nn)`` and a scenario the caller has validated;
+    the beliefs field is the tuple of :func:`_posteriors`."""
+    beliefs = beta_a, beta_n, pr_a = _posteriors(s, pi_aa, pi_nn)
     lam, demand, a2, spread = s.lambda_, s.demand, s.alpha2, s.cost_spread
-    m_n, m_a = _slope(s, beliefs.beta_n_of_a), _slope(s, beliefs.beta_a_of_a)
+    m_n, m_a = _slope(s, beta_n), _slope(s, beta_a)
     d_n, d_a = m_n + a2, m_a + a2
     # Partition value, the split-branch flow gap over D; g >= lambda_ selects the switch branch.
     g = spread / (d_n * demand) - spread / (d_a * demand)
@@ -206,14 +227,15 @@ def _solve(s: NetworkScenario, pi: InformationStructure) -> tuple:
     )
 
 
-def _solved(solved: dict, s: NetworkScenario, pi: InformationStructure) -> tuple:
-    """``_solve(s, pi)`` memoized in ``solved`` by ``pi``'s field pair, which is equal
-    exactly when the structures are and hashes without a Python-level call.  ``_solve``
-    never reads ``tau``, so ``solved`` may hold scenarios differing from ``s`` in it alone."""
-    key = (pi.pi_a_given_a, pi.pi_n_given_n)
+def _solved(solved: dict, s: NetworkScenario, pi_aa: float, pi_nn: float) -> tuple:
+    """``_solve(s, pi_aa, pi_nn)`` memoized in ``solved`` by the probability pair,
+    the field pair of an :class:`InformationStructure`, which builds no record and
+    hashes without a Python-level call.  ``_solve`` never reads ``tau``, so
+    ``solved`` may hold scenarios differing from ``s`` in it alone."""
+    key = (pi_aa, pi_nn)
     outcome = solved.get(key)
     if outcome is None:
-        outcome = solved[key] = _solve(s, pi)
+        outcome = solved[key] = _solve(s, pi_aa, pi_nn)
     return outcome
 
 
@@ -297,12 +319,13 @@ def verify_wardrop(
     except ArithmeticError as exc:
         return VerificationReport(violations=(str(exc),), max_gap=float("inf"))
 
-    beliefs = posterior_beliefs(s, pi)
-    m_n, m_a = _slope(s, beliefs.beta_n_of_a), _slope(s, beliefs.beta_a_of_a)
+    beta_a, beta_n, pr_a = _posteriors(s, pi.pi_a_given_a, pi.pi_n_given_n)
+    m_n, m_a = _slope(s, beta_n), _slope(s, beta_a)
     c1_n, c1_a, c2_n, c2_a = _signal_costs(s, m_n, m_a, f2_n, f2_a)
     # Uninformed travelers weigh the per-signal costs by the signal marginals.
-    e2_r1 = beliefs.pr_n * c1_n + beliefs.pr_a * c1_a
-    e2_r2 = beliefs.pr_n * c2_n + beliefs.pr_a * c2_a
+    pr_n = 1.0 - pr_a
+    e2_r1 = pr_n * c1_n + pr_a * c1_a
+    e2_r2 = pr_n * c2_n + pr_a * c2_a
 
     # A cost gap at a true equilibrium is rounding in costs up to about
     # alpha1_a * D + b2, so the tolerance is relative to that cost scale.
@@ -329,13 +352,13 @@ def verify_wardrop(
 
 def average_spillover(s: NetworkScenario, outcome: EquilibriumOutcome) -> float:
     """Realized average route-2 flow above the threshold, from an outcome."""
-    return _spillover(s, outcome.f2_given_n, outcome.f2_given_a, outcome.beliefs)
+    return _spillover(s, outcome.f2_given_n, outcome.f2_given_a, outcome.beliefs.pr_a)
 
 
-def _spillover(s: NetworkScenario, f2_n: float, f2_a: float, beliefs: BeliefSystem) -> float:
+def _spillover(s: NetworkScenario, f2_n: float, f2_a: float, pr_a: float) -> float:
     over_a, over_n = f2_a - s.tau, f2_n - s.tau
     if 0.0 > over_a:
         over_a = 0.0
     if 0.0 > over_n:
         over_n = 0.0
-    return beliefs.pr_a * over_a + beliefs.pr_n * over_n
+    return pr_a * over_a + (1.0 - pr_a) * over_n

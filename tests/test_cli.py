@@ -413,9 +413,7 @@ class TestSweepCommand:
         validate = counted(model, "validate_scenario")
         monkeypatch.setattr(model, "validate_scenario", validate)
         monkeypatch.setattr(cli, "validate_scenario", validate)
-        monkeypatch.setattr(
-            equilibrium, "posterior_beliefs", counted(equilibrium, "posterior_beliefs")
-        )
+        monkeypatch.setattr(equilibrium, "_posteriors", counted(equilibrium, "_posteriors"))
         assert cli.main(argv) == 0
         return calls
 
@@ -426,7 +424,7 @@ class TestSweepCommand:
         # one validation per point; one Bayes update per distinct structure
         # among the optimum and the two baselines: the 14 points whose optimum
         # is no information or full information solve two structures, not three
-        assert calls == {"validate_scenario": 101, "posterior_beliefs": 289}
+        assert calls == {"validate_scenario": 101, "_posteriors": 289}
 
     def test_p_sweep_solves_each_point_apart(self, tmp_path, monkeypatch):
         argv = ["sweep", str(DEMO_CONFIG), "--axis", "p", "--start", "0", "--stop", "0.999",
@@ -434,7 +432,7 @@ class TestSweepCommand:
         calls = self.count_calls(monkeypatch, argv)
         # the equilibrium depends on p, so no solve is shared between points;
         # within a point each distinct structure is solved once
-        assert calls == {"validate_scenario": 101, "posterior_beliefs": 236}
+        assert calls == {"validate_scenario": 101, "_posteriors": 236}
 
     def test_tau_sweep_solves_each_baseline_once(self, tmp_path, monkeypatch):
         low, high = tau_bounds(golden_scenario())
@@ -445,7 +443,23 @@ class TestSweepCommand:
         # solve of each distinct structure: the two baselines, which are also
         # the optimum of 76 points, and the 25 partial and saturated optima
         # (103 updates when only the baselines were shared, 227 before that)
-        assert calls == {"validate_scenario": 101, "posterior_beliefs": 27}
+        assert calls == {"validate_scenario": 101, "_posteriors": 27}
+
+    def test_sweep_points_build_no_records(self, tmp_path, monkeypatch):
+        # Only the public functions wrap results in records: a sweep point
+        # passes posteriors, structures and outcomes as floats and tuples.
+        built = Counter()
+        for cls in (equilibrium.BeliefSystem, InformationStructure, equilibrium.EquilibriumOutcome):
+            def counted_init(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                built[_name] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted_init)
+        argv = ["sweep", str(DEMO_CONFIG), "--axis", "lambda", "--start", "0", "--stop", "1",
+                "--count", "101", "--out", str(tmp_path / "sweep.csv")]
+        assert cli.main(argv) == 0
+        assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 102
+        assert built == {}
 
     def test_error_rows_are_quoted_like_csv_writer(self, tmp_path, monkeypatch):
         message = 'a, "b"'

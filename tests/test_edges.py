@@ -17,9 +17,11 @@ import pytest
 from conftest import random_scenario
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_edge_structures import EDGE_PROBS
 
 from routegame import (
     EPS,
+    DomainError,
     GridSpec,
     InformationStructure,
     InvalidScenarioError,
@@ -83,6 +85,29 @@ def edge_scenarios(draw, fraction_thresholds: bool = True) -> NetworkScenario:
     if lam is None:
         lam = draw(unit)
     return replace(s, lambda_=lam)
+
+
+def _feasible_structure(pa: float, pn: float) -> InformationStructure | None:
+    try:
+        return InformationStructure(pa, pn)
+    except DomainError:
+        return None
+
+
+# The feasible pairs of the corner probabilities of test_edge_structures: the
+# corners, pairs on or within rounding of the uninformative diagonal, and a
+# rare signal of probability down to about 1e-12.
+edge_structures = st.sampled_from([
+    pi for pa in EDGE_PROBS for pn in EDGE_PROBS if (pi := _feasible_structure(pa, pn))
+])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(edge_scenarios(), edge_structures)
+def test_edge_structures_solve_on_edge_scenarios(s, pi):
+    out = solve_equilibrium(s, pi)
+    report = verify_wardrop(s, pi, (out.f2_given_n, out.f2_given_a))
+    assert report.ok, report.violations
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

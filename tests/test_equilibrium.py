@@ -90,6 +90,31 @@ class TestPosteriorBeliefs:
             assert blended == pytest.approx(ex1.p, abs=1e-12)
             assert b.beta_a_of_a >= b.beta_n_of_a - 1e-12
 
+    @pytest.mark.parametrize("p, message", [
+        (1.5, "beta_a_of_a must lie in [0, 1], got 1.0588235294117647"),
+        (-0.5, "beta_a_of_a must lie in [0, 1], got -0.5"),
+    ])
+    def test_out_of_range_posteriors_raise(self, ex1, p, message):
+        # p is out of range on an unvalidated scenario; the Bayes update's
+        # result check still names the violation, also on the solve path,
+        # which builds no BeliefSystem for beliefs in range.
+        s, pi = replace(ex1, p=p), InformationStructure(0.6, 0.9)
+
+        def solve_path(s, pi):
+            return equilibrium._solve(s, pi.pi_a_given_a, pi.pi_n_given_n)
+
+        for update in (posterior_beliefs, solve_path):
+            with pytest.raises(DomainError) as info:
+                update(s, pi)
+            assert str(info.value) == message
+
+    def test_posteriors_within_slack_are_accepted_as_computed(self, ex1):
+        # Both posteriors exceed 1 and beta_n_of_a > beta_a_of_a, all within EPS.
+        s = replace(ex1, p=1.0 + 1e-12)
+        expected = (1.0000000000001668, 1.0000000000022502, 0.6000000000005)
+        assert posterior_beliefs(s, InformationStructure(0.6, 0.9)) == BeliefSystem(*expected)
+        assert equilibrium._posteriors(s, 0.6, 0.9) == expected
+
 
 class TestBeliefSystem:
     # the exact messages, one per condition in checking order
