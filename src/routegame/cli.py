@@ -11,17 +11,13 @@ next to the CSV.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .design import _design, optimal_design
-from .equilibrium import _solved, _spillover, solve_equilibrium
 from .model import (
     SCENARIO_FIELDS,
     DomainError,
@@ -32,7 +28,6 @@ from .model import (
     load_scenario,
     validate_scenario,
 )
-from .oracle import GridSpec, grid_search_design
 
 AXIS_FIELDS = {"lambda": "lambda_", "tau": "tau", "p": "p"}
 # Sweep columns of each output group, in CSV order.
@@ -103,11 +98,15 @@ def _round_floats(value: object) -> object:
 
 
 def _print_json(record: dict[str, object]) -> None:
+    import json
+
     print(json.dumps(_round_floats(record), indent=2))
 
 
 def _emit(record: dict[str, object], fmt: str) -> None:
     if fmt == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerows([list(record), map(_fmt, record.values())])
     else:
@@ -121,6 +120,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_equilibrium(args: argparse.Namespace) -> int:
+    from .equilibrium import solve_equilibrium
+
     scenario = load_scenario(args.config)
     pi = InformationStructure(args.pi_aa, args.pi_nn)
     outcome = solve_equilibrium(scenario, pi)
@@ -129,44 +130,31 @@ def _cmd_equilibrium(args: argparse.Namespace) -> int:
 
 
 def _cmd_design(args: argparse.Namespace) -> int:
+    from .design import optimal_design
+
     solution = optimal_design(load_scenario(args.config))
     _emit(solution.to_record(), args.format)
     return 0
 
 
-def _sweep_row(
-    request: SweepRequest, s: NetworkScenario, value: float, solved: dict
-) -> dict[str, object]:
-    """The CSV columns of one point, from the fields that ``optimal_design`` and
-    ``solve_equilibrium`` wrap in records; the baselines' columns are None
-    unless the loss or costs group is requested; all solves go through ``solved``, the
-    baselines as the pairs of ``InformationStructure.no_information()`` and
-    ``full_revelation()``."""
-    regime, pi_aa, out, loss, _ = _design(s, solved)
-    no_info = full_info = None
-    if not request.outputs.isdisjoint(("loss", "costs")):
-        no_info = _solved(solved, s, 0.0, 1.0)
-        full_info = _solved(solved, s, 1.0, 1.0)
-    return {
-        request.axis: value, "regime": regime.value, "pi_a_a": pi_aa, "pi_n_n": 1.0,
-        "f2_n": out[0], "f2_a": out[1], "f1_n": out[2], "f1_a": out[3], "loss": loss,
-        "loss_no_info": no_info and _spillover(s, no_info[0], no_info[1], no_info[6][2]),
-        "loss_full_info": full_info and _spillover(s, full_info[0], full_info[1], full_info[6][2]),
-        "cost_pop1": out[7], "cost_pop2": out[8], "cost_avg": out[9],
-        "cost_avg_no_info": no_info and no_info[9],
-        "cost_avg_full_info": full_info and full_info[9], "error": "",
-    }
-
-
 def run_sweep(request: SweepRequest) -> tuple[list[str], list[dict[str, object]]]:
     """Evaluate every sweep point; per-point failures land in the error column.
 
+    A point's columns come from the fields that ``optimal_design`` and
+    ``solve_equilibrium`` wrap in records. The baselines' columns are None
+    unless the loss or costs group is requested, and the baselines are solved
+    as the pairs of ``InformationStructure.no_information()`` and
+    ``full_revelation()``. All solves go through one memo, ``solved``.
     ``_solve`` never reads ``tau``, so a ``tau`` sweep keeps one memo of its
     outcomes; a point on another axis starts its own.
     """
+    from .design import _design
+    from .equilibrium import _solved, _spillover
+
+    axis, name = request.axis, AXIS_FIELDS[request.axis]
     chosen = (c for g, cols in OUTPUT_COLUMNS.items() if g in request.outputs for c in cols)
-    columns = [request.axis, "regime", *chosen, "error"]
-    name = AXIS_FIELDS[request.axis]
+    columns = [axis, "regime", *chosen, "error"]
+    baselines = not request.outputs.isdisjoint(("loss", "costs"))
     values, slot = list(request.scenario.to_dict().values()), SCENARIO_FIELDS.index(name)
     rows = []
     solved: dict = {}
@@ -175,11 +163,27 @@ def run_sweep(request: SweepRequest) -> tuple[list[str], list[dict[str, object]]
         if name != "tau":
             solved = {}
         try:
-            rows.append(_sweep_row(request, NetworkScenario(*values), value, solved))
+            s = NetworkScenario(*values)
+            regime, pi_aa, out, loss, _ = _design(s, solved)
+            no_info = full_info = None
+            if baselines:
+                no_info = _solved(solved, s, 0.0, 1.0)
+                full_info = _solved(solved, s, 1.0, 1.0)
+            rows.append({
+                axis: value, "regime": regime.value, "pi_a_a": pi_aa, "pi_n_n": 1.0,
+                "f2_n": out[0], "f2_a": out[1], "f1_n": out[2], "f1_a": out[3], "loss": loss,
+                "loss_no_info": no_info and _spillover(s, no_info[0], no_info[1], no_info[6][2]),
+                "loss_full_info": (
+                    full_info and _spillover(s, full_info[0], full_info[1], full_info[6][2])
+                ),
+                "cost_pop1": out[7], "cost_pop2": out[8], "cost_avg": out[9],
+                "cost_avg_no_info": no_info and no_info[9],
+                "cost_avg_full_info": full_info and full_info[9], "error": "",
+            })
         except InvalidScenarioError as exc:
-            rows.append({request.axis: value, "error": "; ".join(exc.report.violations)})
+            rows.append({axis: value, "error": "; ".join(exc.report.violations)})
         except (DomainError, ArithmeticError) as exc:
-            rows.append({request.axis: value, "error": str(exc)})
+            rows.append({axis: value, "error": str(exc)})
     return columns, rows
 
 
@@ -192,6 +196,8 @@ def _write_csv(
     ``%`` template formats it; ``csv.writer`` writes each error row, whose
     message may need quoting.
     """
+    import csv
+
     template = ",".join(
         f"%({c})s" if c in ("regime", "error") else f"%({c}).12g" for c in columns
     ) + "\n"
@@ -210,6 +216,8 @@ def _write_csv(
 
 
 def _write_sidecar(request: SweepRequest, out_path: str) -> None:
+    import json
+
     meta = {
         "tool": f"routegame {__version__}",
         "scenario": request.scenario.to_dict(),
@@ -246,6 +254,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from .design import optimal_design
+    from .oracle import GridSpec, grid_search_design
+
     scenario = load_scenario(args.config)
     try:
         spec = GridSpec(steps_pi=args.grid)

@@ -11,17 +11,23 @@ structure independent of the fraction above ``lambda_high``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .equilibrium import EquilibriumOutcome, _outcome, _slope, _solved, _spillover
+from .equilibrium import EquilibriumOutcome, _outcome, _slope, _solve, _solved, _spillover
 from .model import EPS, InformationStructure, NetworkScenario, require_valid, tau_bounds
 
 __all__ = [
     "DesignSolution", "Regime", "RegimeError", "Thresholds", "lambda_thresholds",
     "optimal_design", "p_bar",
 ]
+
+
+# The float optimal pi_aa lies within this many ulps of the exact one: excess / (scale * p)
+# carries 7 + 5 + 1 unit roundoffs where neither difference cancels (argument in CHANGES.md).
+_PI_AA_ULPS = 13
 
 
 class RegimeError(ValueError):
@@ -198,8 +204,23 @@ def _design(s: NetworkScenario, solved: dict) -> tuple:
 
     outcome = _solved(solved, s, pi_aa, 1.0)
     realized = _spillover(s, outcome[0], outcome[1], outcome[6][2])
-    if abs(realized - loss) > EPS * s.demand:
+    # The loss is exact at the optimal pi_aa and the spillover is realized at the
+    # float pi_aa, so the check also allows what _PI_AA_ULPS ulps of pi_aa move it.
+    gap, slack = abs(realized - loss), EPS * s.demand
+    if gap > slack and gap > slack + _PI_AA_ULPS * _ulp_shift(s, pi_aa, realized):
         raise ArithmeticError(
             f"closed-form loss {loss!r} disagrees with realized spillover {realized!r}"
         )
     return regime, pi_aa, outcome, loss, thresholds
+
+
+def _ulp_shift(s: NetworkScenario, pi_aa: float, realized: float) -> float:
+    """The larger change of the spillover ``realized`` at ``(pi_aa, 1.0)`` when
+    ``pi_aa`` moves one ulp either way within [0, 1], which is
+    ``|d spillover / d pi_aa|·ulp(pi_aa)`` to first order."""
+    shift = 0.0
+    for neighbour in (math.nextafter(pi_aa, 0.0), math.nextafter(pi_aa, 1.0)):
+        if neighbour != pi_aa:
+            out = _solve(s, neighbour, 1.0)
+            shift = max(shift, abs(_spillover(s, out[0], out[1], out[6][2]) - realized))
+    return shift

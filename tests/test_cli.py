@@ -169,7 +169,7 @@ class TestDesignCommand:
         def failing(scenario):
             raise ArithmeticError("closed-form loss disagrees with realized spillover")
 
-        monkeypatch.setattr(cli, "optimal_design", failing)
+        monkeypatch.setattr(design, "optimal_design", failing)
         assert cli.main(["design", str(config)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
@@ -463,13 +463,14 @@ class TestSweepCommand:
 
     def test_error_rows_are_quoted_like_csv_writer(self, tmp_path, monkeypatch):
         message = 'a, "b"'
+        original = design._design
 
         def failing_at_some_points(s, solved):
             if round(s.lambda_ * 10) % 3 == 1:
                 raise ArithmeticError(message)
-            return design._design(s, solved)
+            return original(s, solved)
 
-        monkeypatch.setattr(cli, "_design", failing_at_some_points)
+        monkeypatch.setattr(design, "_design", failing_at_some_points)
         out = tmp_path / "sweep.csv"
         argv = ["sweep", str(DEMO_CONFIG), "--axis", "lambda", "--start", "0", "--stop", "1",
                 "--count", "11", "--out", str(out)]
@@ -598,6 +599,10 @@ ALL_NAMES = [
 ]
 
 
+# The routegame modules beyond the scenario model, which a command loads only if it runs them.
+SOLVER_MODULES = {"routegame.equilibrium", "routegame.design", "routegame.oracle"}
+
+
 class TestLazyOracleImport:
     @pytest.mark.parametrize(
         "args",
@@ -613,6 +618,12 @@ class TestLazyOracleImport:
         ],
     )
     def test_numpy_not_imported(self, config, tmp_path, args):
+        imported = self.imported_modules(args, config, tmp_path)
+        assert not {m for m in imported if m.split(".")[0] == "numpy"}
+
+    @staticmethod
+    def imported_modules(args, config, tmp_path) -> set[str]:
+        """The modules a ``python`` process with ``args`` imports."""
         # -X importtime lists every module the process imports on stderr
         trace = tmp_path / "trace.csv"
         result = subprocess.run(
@@ -623,16 +634,51 @@ class TestLazyOracleImport:
         assert result.returncode == 0, result.stderr
         imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}
         assert "routegame" in imported
-        assert not {m for m in imported if m.split(".")[0] == "numpy"}
+        return imported
 
-    def test_oracle_names_resolve(self):
+    @pytest.mark.parametrize(
+        "args, absent",
+        [
+            (("-c", "import routegame"), {"routegame.model", *SOLVER_MODULES}),
+            (("-m", "routegame", "validate", "{cfg}"), {*SOLVER_MODULES, "json", "csv"}),
+            (("-m", "routegame", "equilibrium", "{cfg}", "--pi-aa", "1", "--pi-nn", "1"),
+             {"routegame.design", "routegame.oracle"}),
+            (("-m", "routegame", "design", "{cfg}"), {"routegame.oracle"}),
+            (("-m", "routegame", "sweep", "{cfg}", "--axis", "lambda", "--start", "0",
+              "--stop", "1", "--count", "3"), {"routegame.oracle"}),
+        ],
+        ids=["import", "validate", "equilibrium", "design", "sweep"],
+    )
+    def test_command_loads_only_what_it_runs(self, config, tmp_path, args, absent):
+        assert not self.imported_modules(args, config, tmp_path) & absent
+
+    def test_public_names_resolve(self, monkeypatch):
         import routegame
-        import routegame.oracle as oracle
 
-        assert routegame.GridSpec is oracle.GridSpec
-        assert routegame.best_response_equilibrium is oracle.best_response_equilibrium
-        assert routegame.grid_search_design is oracle.grid_search_design
-        assert routegame.ConvergenceError is oracle.ConvergenceError
+        modules = [model, equilibrium, design, oracle]
+        assert routegame.__all__ == [name for m in modules for name in m.__all__]
+        for module in modules:
+            for name in module.__all__:
+                # drop what earlier lookups cached, so each name resolves afresh
+                monkeypatch.delitem(vars(routegame), name, raising=False)
+                assert getattr(routegame, name) is getattr(module, name), name
+                assert vars(routegame)[name] is getattr(module, name), name
+
+    def test_star_import_and_dir_list_the_public_names(self):
+        import routegame
+
+        namespace = {}
+        exec("from routegame import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(routegame.__all__)
+        submodules = {"model", "equilibrium", "design", "oracle"}
+        assert set(dir(routegame)) >= {*routegame.__all__, *submodules}
+
+    def test_unknown_name_is_attribute_error(self):
+        import routegame
+
+        with pytest.raises(AttributeError, match="'no_such_name'"):
+            routegame.no_such_name
+        assert not hasattr(routegame, "no_such_name")
 
     def test_all_unchanged(self):
         import routegame
