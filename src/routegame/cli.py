@@ -333,7 +333,3 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, InvalidScenarioError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

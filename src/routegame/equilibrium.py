@@ -39,7 +39,7 @@ class BeliefSystem:
     """Posterior incident probabilities and signal marginals.
 
     Only the incident posteriors are stored; the nominal ones are their
-    complements, ``beta_s(n) = 1 - beta_s(a)``, and ``pr_n = 1 - pr_a``.
+    complements, ``beta_s(n) = 1 - beta_s(a)``, and signal n's is ``1 - pr_a``.
     When a signal has zero probability its posterior is the prior, which
     keeps downstream quantities well defined and continuous as the
     structure approaches degeneracy.
@@ -50,9 +50,6 @@ class BeliefSystem:
     pr_a: float
 
     def __post_init__(self) -> None:
-        # Accept the valid case at once; the checks below name the violation.
-        if 0.0 <= self.beta_n_of_a <= self.beta_a_of_a <= 1.0 and 0.0 <= self.pr_a <= 1.0:
-            return
         if not -EPS <= self.beta_a_of_a <= 1.0 + EPS:
             raise DomainError(f"beta_a_of_a must lie in [0, 1], got {self.beta_a_of_a!r}")
         if not -EPS <= self.beta_n_of_a <= 1.0 + EPS:
@@ -64,10 +61,6 @@ class BeliefSystem:
                 "posterior ordering violated: "
                 f"beta_a_of_a={self.beta_a_of_a!r} < beta_n_of_a={self.beta_n_of_a!r}"
             )
-
-    @property
-    def pr_n(self) -> float:
-        return 1.0 - self.pr_a
 
 
 @dataclass(frozen=True)

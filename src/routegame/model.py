@@ -138,14 +138,6 @@ class InformationStructure:
                 f"{1.0 - self.pi_a_given_a!r}"
             )
 
-    @property
-    def pi_n_given_a(self) -> float:
-        return 1.0 - self.pi_a_given_a
-
-    @property
-    def pi_a_given_n(self) -> float:
-        return 1.0 - self.pi_n_given_n
-
     @classmethod
     def full_revelation(cls) -> "InformationStructure":
         """The perfectly informative structure: signal always equals the state."""

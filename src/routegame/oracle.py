@@ -5,11 +5,11 @@ use closed forms.  This module re-derives their answers from first
 principles only, using nothing beyond Bayes' rule, the cost functions and
 the equilibrium conditions: damped best-response dynamics from several
 restarts for one signal structure, and an exhaustive grid search over
-feasible signal distributions that solves each cell's equilibrium
-exactly for the uninformed travellers' route-2 mass.  Agreement between
-the two routes is what the test suite leans on.  Both engines are plain
-Python, share one Bayes update and import nothing from the modules they
-check, so a defect there cannot move an answer and its check together.
+feasible signal distributions.  Agreement between the two routes is what
+the test suite leans on.  Both engines are plain Python and take Bayes'
+rule from one routine, ``_cells``, which also solves each structure's
+equilibrium exactly for the grid.  They import nothing from the modules
+they check, so a defect there cannot move an answer and its check together.
 """
 
 from __future__ import annotations
@@ -64,12 +64,25 @@ _START_FRACTIONS = (
 )
 
 
-def _beliefs(s: NetworkScenario, pa: float, pns):
-    """Bayes' rule for the structures ``(pa, pn)``, ``pn`` in ``pns``: yields per structure
-    ``(pn, pr_n, pr_a, m_n, m_a)``, its signal probabilities and the route-1 slopes
-    under the posteriors they induce.  A signal of probability zero keeps the prior,
-    as do both signals of a pair only the ``EPS`` slack admits, ``pn < 1 - pa``."""
+def _cells(s: NetworkScenario, pa: float, pns):
+    """Yields ``(pn, pr_n, pr_a, m_n, m_a, f2_n, f2_a)`` for each structure ``(pa, pn)``,
+    ``pn`` in ``pns``: its signal probabilities, the route-1 slopes under the posteriors
+    they induce and its equilibrium route-2 flows.  A signal of probability zero keeps
+    the prior, as do both signals of a pair only the ``EPS`` slack admits, ``pn < 1 - pa``.
+
+    At a fixed uninformed route-2 mass ``q``, an informed unit's best response puts its
+    route-2 flow at the level that equalizes its route costs, clamped to
+    ``[q, q + lambda_ * D]``.  The uninformed cost gap is then piecewise linear and
+    non-increasing in ``q``: each informed term, weighted by its signal's probability, is
+    zero on ``[level - lambda_ * D, level]``.  The equilibrium ``q`` is where the gap first
+    reaches zero, clamped to ``[0, (1 - lambda_) * D]``: the start of the later flat
+    stretch if the two overlap, else the linear root between them.  Only ``+ - * /`` and
+    comparisons touch the inputs, so a number type that takes float operands as exact
+    rationals runs this unchanged and exactly.
+    """
     p, a1a, a1n = s.p, s.alpha1_a, s.alpha1_n
+    demand, a2, b1, b2 = s.demand, s.alpha2, s.b1, s.b2
+    pop_i, pop_u = s.lambda_ * demand, (1.0 - s.lambda_) * demand
     incident_a, pna = p * pa, 1.0 - pa
     incident_n, nominal = p * pna, 1.0 - p
     for pn in pns:
@@ -83,7 +96,30 @@ def _beliefs(s: NetworkScenario, pa: float, pns):
         # Exactly pn < 1 - pa: neither rounded test can hold falsely, and one is exact.
         if pn < pna or pan > pa:
             b_n = b_a = p
-        yield pn, pr_n, pr_a, a1a * b_n + a1n * (1.0 - b_n), a1a * b_a + a1n * (1.0 - b_a)
+        m_n, m_a = a1a * b_n + a1n * (1.0 - b_n), a1a * b_a + a1n * (1.0 - b_a)
+        d_n, d_a = m_n + a2, m_a + a2
+        # Route-2 flow at which an informed unit's two route costs are equal.
+        level_n = (m_n * demand + b1 - b2) / d_n
+        level_a = (m_a * demand + b1 - b2) / d_a
+        # Pairs, not one 4-tuple: CPython unpacks pairs without building a tuple.
+        if level_n <= level_a:
+            lo, hi = level_n, level_a
+            w_lo, w_hi = pr_n * d_n, pr_a * d_a
+        else:
+            lo, hi = level_a, level_n
+            w_lo, w_hi = pr_a * d_a, pr_n * d_n
+        q = hi - pop_i
+        if q > lo:
+            # Disjoint flat stretches: the linear root between them.
+            q = (w_lo * lo + w_hi * q) / (w_lo + w_hi)
+        if q < 0.0:
+            q = 0.0
+        elif q > pop_u:
+            q = pop_u
+        top = q + pop_i
+        f2n = q if q > level_n else (top if top < level_n else level_n)
+        f2a = q if q > level_a else (top if top < level_a else level_a)
+        yield pn, pr_n, pr_a, m_n, m_a, f2n, f2a
 
 
 def best_response_equilibrium(
@@ -108,7 +144,7 @@ def best_response_equilibrium(
     uniqueness check fails.  Returns the first restart's flows.
     """
     require_valid(s)
-    ((_, pr_n, pr_a, slope_n, slope_a),) = _beliefs(s, pi.pi_a_given_a, (pi.pi_n_given_n,))
+    ((_, pr_n, pr_a, slope_n, slope_a, _, _),) = _cells(s, pi.pi_a_given_a, (pi.pi_n_given_n,))
     demand, a2, b1, b2, tol = s.demand, s.alpha2, s.b1, s.b2, spec.tol
     pop_i, pop_u = s.lambda_ * demand, (1.0 - s.lambda_) * demand
     used_eps = 1e-12 * demand
@@ -116,13 +152,11 @@ def best_response_equilibrium(
     d_u = pr_a * d_a + pr_n * d_n
     cap = ITERATION_CAP
 
-    # Restart profiles: population fractions on the first pass, then the masses
-    # each restart reached (scaled by 1.0, which is exact).
-    profiles, scale_i, scale_u, budget = _START_FRACTIONS, pop_i, pop_u, cap
+    # Restart masses: the population fractions on the first pass, then where each stopped.
+    profiles, budget = [(n * pop_i, a * pop_i, u * pop_u) for n, a, u in _START_FRACTIONS], cap
     for gap_tol in (tol, tol / 10.0, tol / 100.0):
         flows, reached, stuck = [], [], []
         for q_n, q_a, q_u in profiles:
-            q_n, q_a, q_u = q_n * scale_i, q_a * scale_i, q_u * scale_u
             step_n = step_a = step_u = 1.0
             last_n = last_a = last_u = 0.0
             iteration = 0
@@ -204,7 +238,7 @@ def best_response_equilibrium(
         # disagree by more than the bound where the signal is weak: resume each from
         # where it stopped at a tenth of gap_tol, with a tenth of the iterations,
         # and compare against the same bound.
-        profiles, scale_i, scale_u, budget = reached, 1.0, 1.0, max(cap // 10, 1)
+        profiles, budget = reached, max(cap // 10, 1)
     raise ConvergenceError(
         f"restarts disagree by {spread:.3e} demand units (> 10 * tol); "
         "uniqueness check failed"
@@ -220,58 +254,27 @@ def grid_search_design(
     the feasibility boundary, solves each cell's equilibrium exactly, and
     returns the minimizer (ties broken lexicographically).  Optionally
     writes a per-cell CSV trace.
-
-    At a fixed uninformed route-2 mass ``q``, an informed unit's best
-    response puts its route-2 flow at the level that equalizes its two
-    route costs, clamped to ``[q, q + lambda_ * D]``.  The uninformed cost
-    gap at those responses is then piecewise linear and non-increasing in
-    ``q``: each informed unit's term, weighted by its signal's probability,
-    is zero on ``[level - lambda_ * D, level]`` and slopes down on either
-    side.  The equilibrium ``q`` is where the gap first reaches zero,
-    clamped to ``[0, (1 - lambda_) * D]``: the start of the later flat
-    stretch if the two overlap, else the linear root between them.  A
-    signal of probability zero leaves both beliefs at the prior, so its
-    stretch is the other's.
     """
     require_valid(s)
     steps = spec.steps_pi
     # np.linspace(0.0, 1.0, steps), value for value.
     vals = [i * (1.0 / (steps - 1)) for i in range(steps - 1)] + [1.0]
-    demand, a2, b1, b2, tau = s.demand, s.alpha2, s.b1, s.b2, s.tau
-    pop_i, pop_u = s.lambda_ * demand, (1.0 - s.lambda_) * demand
-    rows = []
+    demand, a2, tau = s.demand, s.alpha2, s.tau
+    rows, trace = [], trace_path is not None
     best_loss, best = math.inf, None
     for pa in vals:
         # Feasible cells: pn >= 1 - pa, with slack for the rounded grid values.
-        for pn, pr_n, pr_a, m_n, m_a in _beliefs(s, pa, vals[bisect_left(vals, 1.0 - pa - 1e-12):]):
-            d_n, d_a = m_n + a2, m_a + a2
-            # Route-2 flow at which an informed unit's two route costs are equal.
-            level_n = (m_n * demand + b1 - b2) / d_n
-            level_a = (m_a * demand + b1 - b2) / d_a
-            if level_n <= level_a:
-                lo, w_lo, hi, w_hi = level_n, pr_n * d_n, level_a, pr_a * d_a
-            else:
-                lo, w_lo, hi, w_hi = level_a, pr_a * d_a, level_n, pr_n * d_n
-            q = hi - pop_i
-            if q > lo:
-                # Disjoint flat stretches: the linear root between them.
-                q = (w_lo * lo + w_hi * q) / (w_lo + w_hi)
-            if q < 0.0:
-                q = 0.0
-            elif q > pop_u:
-                q = pop_u
-            top = q + pop_i
-            f2n = q if q > level_n else (top if top < level_n else level_n)
-            f2a = q if q > level_a else (top if top < level_a else level_a)
+        row = _cells(s, pa, vals[bisect_left(vals, 1.0 - pa - 1e-12):])
+        for pn, pr_n, pr_a, m_n, m_a, f2n, f2a in row:
             loss = pr_a * (f2a - tau if f2a > tau else 0.0)
             loss += pr_n * (f2n - tau if f2n > tau else 0.0)
             # Cells run in lexicographic (pa, pn) order, so the first minimum breaks ties.
             if loss < best_loss:
                 best_loss, best = loss, (pa, pn)
-            if trace_path is not None:
-                g = s.cost_spread / (d_n * demand) - s.cost_spread / (d_a * demand)
+            if trace:
+                g = s.cost_spread / ((m_n + a2) * demand) - s.cost_spread / ((m_a + a2) * demand)
                 rows.append(f"{pa:.12g},{pn:.12g},{g:.12g},{f2n:.12g},{f2a:.12g},{loss:.12g}\n")
 
-    if trace_path is not None:
+    if trace:
         Path(trace_path).write_text("pi_a_a,pi_n_n,g_value,f2_n,f2_a,loss\n" + "".join(rows))
     return InformationStructure(*best), best_loss

@@ -8,15 +8,17 @@ demand 10, incident prior 0.3, threshold 2.5.
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import random_scenario, random_structure
+from conftest import exact_scenario, random_scenario, random_structure
 from routegame import (
     GridSpec,
     InformationStructure,
     Regime,
+    average_spillover,
     best_response_equilibrium,
     grid_search_design,
     lambda_thresholds,
@@ -83,6 +85,21 @@ def test_criterion_3_spillover_comparisons(ex1):
 def _persuasion_battery(seed: int, count: int):
     rng = np.random.default_rng(seed)
     return [random_scenario(rng, persuasion=True) for _ in range(count)]
+
+
+def test_golden_values_are_exact(ex1):
+    # Criteria 1-3 in exact rationals, through the same code: any float would show.
+    s = exact_scenario(ex1, p=Fraction(3, 10), lambda_=Fraction(1, 5), tau=Fraction(5, 2))
+    full = exact_scenario(s, lambda_=1)
+    got = (
+        p_bar(s),
+        *lambda_thresholds(s),
+        optimal_design(exact_scenario(s, lambda_=Fraction(3, 5))).loss,
+        average_spillover(full, solve_equilibrium(full, InformationStructure.full_revelation())),
+        average_spillover(s, solve_equilibrium(s, InformationStructure.no_information())),
+    )
+    assert all(isinstance(v, Fraction) for v in got), got
+    assert got == tuple(map(Fraction, ("1/6", "2/15", "1/4", "2/5", "3/4", "5/9")))
 
 
 def test_criterion_4_grid_search_never_beats_closed_form(ex1):
@@ -174,7 +191,7 @@ def test_criterion_8_lemma_suite(ex1):
         s = random_scenario(rng)
         b = posterior_beliefs(s, random_structure(rng))
         worst_plausibility = max(
-            worst_plausibility, abs(b.beta_a_of_a * b.pr_a + b.beta_n_of_a * b.pr_n - s.p)
+            worst_plausibility, abs(b.beta_a_of_a * b.pr_a + b.beta_n_of_a * (1.0 - b.pr_a) - s.p)
         )
     plausible = worst_plausibility <= 1e-12
 

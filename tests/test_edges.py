@@ -17,11 +17,10 @@ import pytest
 from conftest import random_scenario
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_edge_structures import EDGE_PROBS
+from test_edge_structures import EDGE_STRUCTURES
 
 from routegame import (
     EPS,
-    DomainError,
     GridSpec,
     InformationStructure,
     InvalidScenarioError,
@@ -87,19 +86,8 @@ def edge_scenarios(draw, fraction_thresholds: bool = True) -> NetworkScenario:
     return replace(s, lambda_=lam)
 
 
-def _feasible_structure(pa: float, pn: float) -> InformationStructure | None:
-    try:
-        return InformationStructure(pa, pn)
-    except DomainError:
-        return None
-
-
-# The feasible pairs of the corner probabilities of test_edge_structures: the
-# corners, pairs on or within rounding of the uninformative diagonal, and a
-# rare signal of probability down to about 1e-12.
-edge_structures = st.sampled_from([
-    pi for pa in EDGE_PROBS for pn in EDGE_PROBS if (pi := _feasible_structure(pa, pn))
-])
+# The feasible pairs of test_edge_structures' corner probabilities (see there).
+edge_structures = st.sampled_from(EDGE_STRUCTURES)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -78,7 +78,7 @@ class TestPosteriorBeliefs:
         assert b.beta_a_of_a == ex1.p  # off-support posterior pinned to the prior
         all_a = InformationStructure(1.0, 0.0)
         b = posterior_beliefs(ex1, all_a)
-        assert b.pr_n == 0.0
+        assert 1.0 - b.pr_a == 0.0
         assert b.beta_n_of_a == ex1.p
 
     def test_bayes_plausibility_random(self, ex1):
@@ -86,7 +86,7 @@ class TestPosteriorBeliefs:
         for _ in range(300):
             pi = random_structure(rng)
             b = posterior_beliefs(ex1, pi)
-            blended = b.beta_a_of_a * b.pr_a + b.beta_n_of_a * b.pr_n
+            blended = b.beta_a_of_a * b.pr_a + b.beta_n_of_a * (1.0 - b.pr_a)
             assert blended == pytest.approx(ex1.p, abs=1e-12)
             assert b.beta_a_of_a >= b.beta_n_of_a - 1e-12
 
@@ -144,7 +144,7 @@ class TestBeliefSystem:
 
     def test_bounds_admit_eps_slack(self):
         b = BeliefSystem(1.0 + 1e-10, -1e-10, 0.0)
-        assert b.pr_n == 1.0
+        assert 1.0 - b.pr_a == 1.0
         BeliefSystem(0.5, 0.5 + 1e-10, 1.0)  # ordering tie within EPS
 
     def test_accept_path_agrees_with_field_checks(self):

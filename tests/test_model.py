@@ -169,14 +169,9 @@ class TestValidateScenario:
 
 
 class TestInformationStructure:
-    def test_complements_are_derived(self):
-        pi = InformationStructure(0.7, 0.9)
-        assert pi.pi_n_given_a == pytest.approx(0.3)
-        assert pi.pi_a_given_n == pytest.approx(0.1)
-
     def test_feasibility_boundary_allowed(self):
         pi = InformationStructure(0.25, 0.75)  # pi(n|n) == pi(n|a)
-        assert pi.pi_n_given_n == pi.pi_n_given_a
+        assert pi.pi_n_given_n == 1.0 - pi.pi_a_given_a
 
     def test_infeasible_rejected(self):
         with pytest.raises(DomainError):

@@ -319,7 +319,7 @@ class TestGridSearchDesign:
                 assert abs(float(row["f2_a"]) - out.f2_given_a) <= EPS * s.demand
 
     def test_vectorized_posteriors_match_scalar(self, ex1, tmp_path):
-        # two independent Bayes updates: the oracle's own (_beliefs) and the closed
+        # two independent Bayes updates: the oracle's own (_cells) and the closed
         # form's posterior_beliefs; every traced partition value, zero-probability-
         # signal corners included, must match the one solve_equilibrium derives
         trace = tmp_path / "cells.csv"
