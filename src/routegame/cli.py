@@ -11,6 +11,7 @@ next to the CSV.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import math
 import sys
@@ -169,8 +170,10 @@ def run_sweep(request: SweepRequest) -> tuple[list[str], list[dict[str, object]]
             if baselines:
                 no_info = _solved(solved, s, 0.0, 1.0)
                 full_info = _solved(solved, s, 1.0, 1.0)
+            # _value_ is what the Enum.value property returns, read without the
+            # property call; a sweep reads it once a point
             rows.append({
-                axis: value, "regime": regime.value, "pi_a_a": pi_aa, "pi_n_n": 1.0,
+                axis: value, "regime": regime._value_, "pi_a_a": pi_aa, "pi_n_n": 1.0,
                 "f2_n": out[0], "f2_a": out[1], "f1_n": out[2], "f1_a": out[3], "loss": loss,
                 "loss_no_info": no_info and _spillover(s, no_info[0], no_info[1], no_info[6][2]),
                 "loss_full_info": (
@@ -319,9 +322,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call: ``parse_args`` never
+    changes a parser and returns a new ``Namespace`` each time, so one serves
+    every call in a process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except OSError as exc:

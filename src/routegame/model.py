@@ -63,7 +63,7 @@ class InvalidScenarioError(ValueError):
         super().__init__("invalid scenario: " + "; ".join(report.violations))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NetworkScenario:
     """All exogenous parameters of the two-route signaling game.
 
@@ -96,6 +96,25 @@ class NetworkScenario:
     p: float
     lambda_: float
     tau: float
+
+    def __init__(
+        self,
+        alpha1_a: float,
+        alpha1_n: float,
+        alpha2: float,
+        b1: float,
+        b2: float,
+        demand: float,
+        p: float,
+        lambda_: float,
+        tau: float,
+    ) -> None:
+        # One dict update in place of the nine object.__setattr__ calls that
+        # the generated frozen __init__ makes; a sweep builds one per point.
+        vars(self).update(
+            alpha1_a=alpha1_a, alpha1_n=alpha1_n, alpha2=alpha2, b1=b1, b2=b2,
+            demand=demand, p=p, lambda_=lambda_, tau=tau,
+        )
 
     @property
     def cost_spread(self) -> float:
@@ -190,7 +209,11 @@ def validate_scenario(s: NetworkScenario) -> ValidationReport:
 
 
 def _field_report(s: NetworkScenario) -> ValidationReport:
-    """:func:`validate_scenario` checked field by field, naming each violation."""
+    """:func:`validate_scenario` checked field by field, naming each violation.
+
+    Computed bounds are printed as ``float`` of their value, so a ``Fraction``
+    scenario gets the float text: before Python 3.12, ``Fraction.__format__``
+    rejects ``.12g``."""
     v: list[str] = []
     positive = ("alpha1_a", "alpha1_n", "alpha2", "b1", "b2", "demand", "tau")
     in_range = True
@@ -215,16 +238,17 @@ def _field_report(s: NetworkScenario) -> ValidationReport:
         bound = (s.b2 - s.b1) / s.alpha1_n
         if not s.demand > bound:
             v.append(
-                f"demand > (b2 - b1)/alpha1_n violated: demand={s.demand!r}, bound={bound:.12g}"
+                "demand > (b2 - b1)/alpha1_n violated: "
+                f"demand={s.demand!r}, bound={float(bound):.12g}"
             )
 
     # The tau range is only meaningful once the slope ordering holds.
     if in_range and s.alpha1_a > s.alpha2 > s.alpha1_n:
         low, high = tau_bounds(s)
         if s.tau < low:
-            v.append(f"tau below admissible range: tau={s.tau!r} < {low:.12g}")
+            v.append(f"tau below admissible range: tau={s.tau!r} < {float(low):.12g}")
         elif s.tau > high + EPS * s.demand or s.tau >= s.demand:
-            v.append(f"tau above admissible range: tau={s.tau!r} > {high:.12g}")
+            v.append(f"tau above admissible range: tau={s.tau!r} > {float(high):.12g}")
 
     return ValidationReport(tuple(v))
 

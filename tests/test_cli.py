@@ -747,3 +747,56 @@ class TestUsageErrors:
         assert "parse error" in result.stderr
         assert message in result.stderr
         assert "Traceback" not in result.stderr
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; ``build_parser`` builds a new one."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls, build_parser = [], cli.build_parser
+
+        def counting():
+            calls.append(None)
+            return build_parser()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counting)
+        yield calls
+        cli._parser.cache_clear()
+
+    def test_main_builds_the_parser_once(self, built, capsys):
+        assert cli.main(["validate", str(DEMO_CONFIG)]) == 0
+        assert cli.main(["design", str(DEMO_CONFIG)]) == 0
+        assert len(built) == 1
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_usage_error_leaves_the_next_call_unchanged(self, built, capsys):
+        def sweep(axis="p", start="0"):
+            return ["sweep", str(DEMO_CONFIG), "--axis", axis, "--start", start, "--stop", "1",
+                    "--count", "5"]
+
+        assert cli.main(sweep()) == 0
+        first = capsys.readouterr().out
+        for bad in (
+            sweep(axis="speed"),
+            [*sweep(), "--outputs", "pi_star", "spillover"],
+            ["design", str(DEMO_CONFIG), "--format", "xml"],
+            ["equilibrium", str(DEMO_CONFIG), "--pi-aa", "1"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(bad)
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.startswith("usage: routegame")
+        assert cli.main(sweep(start="2")) == 2
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert cli.main(sweep()) == 0
+        assert capsys.readouterr().out == first
+        assert len(built) == 1
+
+    def test_import_builds_no_parser(self):
+        code = "import routegame.cli as c; print(c._parser.cache_info().currsize)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV
+        )
+        assert result.stdout == "0\n"

@@ -32,8 +32,9 @@ UNINFORMATIVE = InformationStructure(0.5, 0.5)
 # were rewritten as one straight-line solve.
 PINNED_RECORDS_SHA256 = "1f3434b5e654e247936c536701e9df8d5d2d8e0c983165297122d38d73e4c84e"
 
-# Edge values for BeliefSystem's accept path, and the sha256 of the stored
-# triple or the error text of every edge triple, taken before that path existed.
+# Edge values for BeliefSystem's field checks, and the sha256 of the stored
+# triple or the error text of every edge triple, taken before BeliefSystem
+# had an accept fast path (since removed); the field checks still give them.
 BELIEF_EDGES = (
     0.0, -0.0, 1.0, 5e-324, 0.3, EPS, 1.0 - EPS, -EPS, 1.0 + EPS,
     math.nextafter(-EPS, -1.0), math.nextafter(1.0 + EPS, 2.0), math.nan, math.inf, -math.inf,
@@ -147,9 +148,10 @@ class TestBeliefSystem:
         assert 1.0 - b.pr_a == 1.0
         BeliefSystem(0.5, 0.5 + 1e-10, 1.0)  # ordering tie within EPS
 
-    def test_accept_path_agrees_with_field_checks(self):
-        # every triple of BELIEF_EDGES, and beta_a_of_a at and one ulp either
-        # side of the ordering bound beta_n_of_a - EPS
+    def test_field_checks_are_pinned(self):
+        # what the field checks store or raise on every triple of BELIEF_EDGES,
+        # and on beta_a_of_a at and one ulp either side of the ordering bound
+        # beta_n_of_a - EPS
         triples = [(a, n, pr) for a in BELIEF_EDGES for n in BELIEF_EDGES for pr in BELIEF_EDGES]
         for n in (0.0, EPS, 0.3, 1.0, 1.0 + EPS):
             bound = n - EPS

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 from dataclasses import replace
@@ -5,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import DEMO_CONFIG, golden_scenario, random_scenario
+from conftest import DEMO_CONFIG, Exact, exact_scenario, golden_scenario, random_scenario
 from routegame import (
     EPS,
     DomainError,
@@ -166,6 +167,95 @@ class TestValidateScenario:
         # be present regardless of what happens to the tau check
         report = validate_scenario(golden_scenario(demand=4.0))
         assert any("demand" in v for v in report.violations)
+
+    @pytest.mark.parametrize(
+        "override", [{"tau": 1.0}, {"demand": 4.0}], ids=["tau-below", "demand-below"]
+    )
+    def test_exact_scenario_gets_the_float_violations(self, override):
+        # a Fraction rejects the .12g format, so the bounds are printed as floats;
+        # the texts differ only in the reprs of the scenario's own fields
+        floats = golden_scenario(**override)
+        exact = exact_scenario(floats)
+        expected = []
+        for text in validate_scenario(floats).violations:
+            for name in SCENARIO_FIELDS:
+                text = text.replace(
+                    f"{name}={getattr(floats, name)!r}", f"{name}={getattr(exact, name)!r}"
+                )
+            expected.append(text)
+        report = validate_scenario(exact)
+        assert expected and "Exact(" in expected[0]
+        assert list(report.violations) == expected
+        with pytest.raises(InvalidScenarioError):
+            optimal_design(exact)
+
+
+GOLDEN_REPR = (
+    "NetworkScenario(alpha1_a=3.0, alpha1_n=1.0, alpha2=2.0, b1=15.0, b2=20.0, "
+    "demand=10.0, p=0.3, lambda_=0.2, tau=2.5)"
+)
+
+
+class TestNetworkScenarioRecord:
+    """The frozen-dataclass contract that callers who vary a scenario rely on."""
+
+    def test_dataclass_functions_work(self, ex1):
+        assert tuple(f.name for f in dataclasses.fields(ex1)) == SCENARIO_FIELDS
+        assert NetworkScenario.__match_args__ == SCENARIO_FIELDS
+        assert dataclasses.asdict(ex1) == ex1.to_dict() == vars(ex1)
+        assert list(ex1.to_dict()) == list(SCENARIO_FIELDS)
+        moved = replace(ex1, tau=2.0)
+        assert type(moved) is NetworkScenario
+        assert moved.to_dict() == {**ex1.to_dict(), "tau": 2.0}
+
+    @pytest.mark.parametrize("name", SCENARIO_FIELDS)
+    def test_fields_are_frozen(self, ex1, name):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=name):
+            setattr(ex1, name, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(ex1, name)
+        assert repr(ex1) == GOLDEN_REPR
+
+    def test_equal_fields_are_equal_and_hash_alike(self, ex1):
+        twin = NetworkScenario(**ex1.to_dict())
+        assert twin is not ex1
+        assert twin == ex1 and hash(twin) == hash(ex1)
+        assert hash(ex1) == hash(tuple(ex1.to_dict().values()))
+        assert replace(ex1, p=0.4) != ex1
+        assert ex1 != tuple(ex1.to_dict().values())
+
+    def test_repr_is_unchanged(self, ex1):
+        assert repr(ex1) == GOLDEN_REPR
+
+    def test_positional_and_keyword_construction_agree(self, ex1):
+        values = list(ex1.to_dict().values())
+        assert NetworkScenario(*values) == ex1
+        assert NetworkScenario(*values[:4], **dict(zip(SCENARIO_FIELDS[4:], values[4:]))) == ex1
+        assert NetworkScenario(**dict(reversed(ex1.to_dict().items()))) == ex1
+
+    def test_missing_argument_is_named(self, ex1):
+        kwargs = ex1.to_dict()
+        del kwargs["lambda_"]
+        with pytest.raises(TypeError, match="missing 1 required positional argument: 'lambda_'"):
+            NetworkScenario(**kwargs)
+        with pytest.raises(TypeError, match="'tau'"):
+            NetworkScenario(*list(ex1.to_dict().values())[:-1])
+
+    def test_unexpected_argument_is_named(self, ex1):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'mu'"):
+            NetworkScenario(**ex1.to_dict(), mu=1.0)
+        with pytest.raises(TypeError, match="takes 10 positional arguments but 11"):
+            NetworkScenario(*ex1.to_dict().values(), 1.0)
+        with pytest.raises(TypeError, match="multiple values for argument 'alpha1_a'"):
+            NetworkScenario(3.0, **ex1.to_dict())
+
+    def test_exact_fields_are_kept(self, ex1):
+        exact = exact_scenario(ex1)
+        for name in SCENARIO_FIELDS:
+            value = getattr(exact, name)
+            assert type(value) is Exact and value == getattr(ex1, name)
+        assert exact == ex1 and hash(exact) == hash(ex1)
+        assert type(replace(exact, tau=Exact(2)).tau) is Exact
 
 
 class TestInformationStructure:
