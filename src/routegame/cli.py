@@ -20,15 +20,11 @@ from pathlib import Path
 
 from . import __version__
 from .model import (
-    SCENARIO_FIELDS,
-    DomainError,
-    InformationStructure,
-    InvalidScenarioError,
-    NetworkScenario,
-    ScenarioParseError,
-    load_scenario,
-    validate_scenario,
+    SCENARIO_FIELDS, DomainError, InformationStructure, InvalidScenarioError, NetworkScenario,
+    ScenarioParseError, load_scenario, validate_scenario,
 )
+
+__all__ = ["AXIS_FIELDS", "OUTPUT_COLUMNS", "OUTPUT_GROUPS", "SweepRequest", "main", "run_sweep"]
 
 AXIS_FIELDS = {"lambda": "lambda_", "tau": "tau", "p": "p"}
 # Sweep columns of each output group, in CSV order.
@@ -170,10 +166,8 @@ def run_sweep(request: SweepRequest) -> tuple[list[str], list[dict[str, object]]
             if baselines:
                 no_info = _solved(solved, s, 0.0, 1.0)
                 full_info = _solved(solved, s, 1.0, 1.0)
-            # _value_ is what the Enum.value property returns, read without the
-            # property call; a sweep reads it once a point
             rows.append({
-                axis: value, "regime": regime._value_, "pi_a_a": pi_aa, "pi_n_n": 1.0,
+                axis: value, "regime": regime, "pi_a_a": pi_aa, "pi_n_n": 1.0,
                 "f2_n": out[0], "f2_a": out[1], "f1_n": out[2], "f1_a": out[3], "loss": loss,
                 "loss_no_info": no_info and _spillover(s, no_info[0], no_info[1], no_info[6][2]),
                 "loss_full_info": (
@@ -239,12 +233,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.config)
     try:
         request = SweepRequest(
-            scenario=scenario,
-            axis=args.axis,
-            start=args.start,
-            stop=args.stop,
-            count=args.count,
-            outputs=frozenset(args.outputs),
+            scenario, args.axis, args.start, args.stop, args.count, frozenset(args.outputs)
         )
     except DomainError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -279,7 +268,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call: ``parse_args`` never
+    changes a parser and returns a new ``Namespace`` each time, so one serves
+    every call in a process."""
     parser = argparse.ArgumentParser(
         prog="routegame",
         description="Solvers for the two-route signaling game: equilibria, "
@@ -320,14 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_oracle)
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built on its first call: ``parse_args`` never
-    changes a parser and returns a new ``Namespace`` each time, so one serves
-    every call in a process."""
-    return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 from .equilibrium import EquilibriumOutcome, _outcome, _slope, _solve, _solved, _spillover
 from .model import EPS, InformationStructure, NetworkScenario, require_valid, tau_bounds
@@ -46,8 +45,8 @@ class Thresholds:
     """Regime boundaries; the lambda thresholds exist only above ``p_bar``."""
 
     p_bar: float
-    lambda_low: Optional[float]
-    lambda_high: Optional[float]
+    lambda_low: float | None
+    lambda_high: float | None
 
 
 @dataclass(frozen=True)
@@ -116,9 +115,9 @@ def lambda_thresholds(s: NetworkScenario) -> tuple[float, float]:
     return lam_low, lam_high
 
 
-def _closed_form(s: NetworkScenario) -> tuple[Regime, float, float, tuple]:
-    """Regime, optimal ``pi(a|a)``, loss and the :class:`Thresholds` fields of a
-    validated scenario.
+def _closed_form(s: NetworkScenario) -> tuple[str, float, float, tuple]:
+    """The :class:`Regime` value (its word, such as ``"partial_disclosure"``), optimal
+    ``pi(a|a)``, loss and the :class:`Thresholds` fields of a validated scenario.
 
     ``excess``, positive exactly above ``p_bar``, is the numerator of
     ``lambda_low``, both partial structures and their loss."""
@@ -128,7 +127,7 @@ def _closed_form(s: NetworkScenario) -> tuple[Regime, float, float, tuple]:
     # No persuasion at or below p_bar or while the uninformed route-2 flow stays at or
     # below tau; the two tests round apart near p = 1, and ties classify as no persuasion.
     if s.p <= pb or s.demand - spread / prior_d <= s.tau:
-        return Regime.NO_PERSUASION, 0.0, 0.0, (pb, None, None)
+        return "no_persuasion", 0.0, 0.0, (pb, None, None)
     excess = (s.demand - s.tau) * prior_d - spread
     incident_d = s.alpha1_a + s.alpha2
     lam_low = excess / (s.demand * s.p * incident_d)
@@ -141,16 +140,16 @@ def _closed_form(s: NetworkScenario) -> tuple[Regime, float, float, tuple]:
         )
     lam = s.lambda_
     if lam < lam_low:
-        regime, pi_aa = Regime.FULL_DISCLOSURE, 1.0
+        regime, pi_aa = "full_disclosure", 1.0
         base = s.demand - s.tau - spread / prior_d
         slope_gap = s.alpha1_a - s.alpha1_n
         loss = base - s.p * (1.0 - s.p) * slope_gap * lam * s.demand / prior_d
     else:
         if lam < lam_high:
-            regime = Regime.PARTIAL_DISCLOSURE
+            regime = "partial_disclosure"
             scale = lam * s.demand * incident_d
         else:
-            regime = Regime.SATURATED_DISCLOSURE
+            regime = "saturated_disclosure"
             scale = (s.demand - s.tau) * incident_d - spread
         # scale is 0 only where pi_aa cannot move the flows: at lambda_ = 0, or at
         # p = 1 with tau within ulps of its upper bound, where excess == scale gives 1.
@@ -182,16 +181,15 @@ def optimal_design(s: NetworkScenario) -> DesignSolution:
     structure at the scenario's informed fraction; the closed-form loss is
     cross-checked against the spillover recomputed from those flows.
     """
-    regime, pi_aa, outcome, loss, thresholds = _design(s, {})
-    return DesignSolution(
-        regime, InformationStructure(pi_aa, 1.0), _outcome(outcome), loss, Thresholds(*thresholds)
-    )
+    word, pi_aa, outcome, loss, thresholds = _design(s, {})
+    pi_star = InformationStructure(pi_aa, 1.0)
+    return DesignSolution(Regime(word), pi_star, _outcome(outcome), loss, Thresholds(*thresholds))
 
 
 def _design(s: NetworkScenario, solved: dict) -> tuple:
-    """:func:`optimal_design` with the optimum ``InformationStructure(pi_aa, 1.0)`` as
-    its ``pi_aa`` and the outcome and thresholds as field tuples, the optimum solved
-    through the memo ``solved`` (see ``_solved``)."""
+    """:func:`optimal_design` with the regime as its word, the optimum
+    ``InformationStructure(pi_aa, 1.0)`` as its ``pi_aa`` and the outcome and thresholds
+    as field tuples, the optimum solved through the memo ``solved`` (see ``_solved``)."""
     require_valid(s)
     regime, pi_aa, loss, thresholds = _closed_form(s)
     if not -EPS <= pi_aa <= 1.0 + EPS:

@@ -13,13 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import (
-    EPS,
-    DomainError,
-    InformationStructure,
-    NetworkScenario,
-    require_valid,
-)
+from .model import EPS, DomainError, InformationStructure, NetworkScenario, require_valid
 
 __all__ = [
     "BeliefSystem", "Branch", "EquilibriumOutcome", "VerificationReport", "average_spillover",
@@ -50,12 +44,10 @@ class BeliefSystem:
     pr_a: float
 
     def __post_init__(self) -> None:
-        if not -EPS <= self.beta_a_of_a <= 1.0 + EPS:
-            raise DomainError(f"beta_a_of_a must lie in [0, 1], got {self.beta_a_of_a!r}")
-        if not -EPS <= self.beta_n_of_a <= 1.0 + EPS:
-            raise DomainError(f"beta_n_of_a must lie in [0, 1], got {self.beta_n_of_a!r}")
-        if not -EPS <= self.pr_a <= 1.0 + EPS:
-            raise DomainError(f"pr_a must lie in [0, 1], got {self.pr_a!r}")
+        for name in ("beta_a_of_a", "beta_n_of_a", "pr_a"):
+            val = getattr(self, name)
+            if not -EPS <= val <= 1.0 + EPS:
+                raise DomainError(f"{name} must lie in [0, 1], got {val!r}")
         if self.beta_a_of_a < self.beta_n_of_a - EPS:
             raise DomainError(
                 "posterior ordering violated: "

@@ -12,7 +12,7 @@ on route 2 in excess of the threshold ``tau``.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 __all__ = [
@@ -98,16 +98,8 @@ class NetworkScenario:
     tau: float
 
     def __init__(
-        self,
-        alpha1_a: float,
-        alpha1_n: float,
-        alpha2: float,
-        b1: float,
-        b2: float,
-        demand: float,
-        p: float,
-        lambda_: float,
-        tau: float,
+        self, alpha1_a: float, alpha1_n: float, alpha2: float, b1: float, b2: float,
+        demand: float, p: float, lambda_: float, tau: float,
     ) -> None:
         # One dict update in place of the nine object.__setattr__ calls that
         # the generated frozen __init__ makes; a sweep builds one per point.
@@ -122,7 +114,8 @@ class NetworkScenario:
         return self.alpha2 * self.demand + self.b2 - self.b1
 
     def to_dict(self) -> dict[str, float]:
-        return asdict(self)
+        """A new dict of the nine fields, in order: they are all the instance dict holds."""
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -140,16 +133,13 @@ class InformationStructure:
     pi_n_given_n: float
 
     def __post_init__(self) -> None:
-        a, n = self.pi_a_given_a, self.pi_n_given_n
-        # Accept the valid case at once; the code below raises or clamps.
-        if 0.0 <= a <= 1.0 and 0.0 <= n <= 1.0 and n >= 1.0 - a - EPS:
-            return
         for name in ("pi_a_given_a", "pi_n_given_n"):
             val = getattr(self, name)
             if not -EPS <= val <= 1.0 + EPS:
                 raise DomainError(f"{name} must lie in [0, 1], got {val!r}")
             # The EPS slack is accepted but stored clamped, so Bayes sees probabilities.
-            object.__setattr__(self, name, min(max(val, 0.0), 1.0))
+            if not 0.0 <= val <= 1.0:
+                object.__setattr__(self, name, min(max(val, 0.0), 1.0))
         if self.pi_n_given_n < 1.0 - self.pi_a_given_a - EPS:
             raise DomainError(
                 "infeasible signal distribution: requires "
@@ -189,9 +179,9 @@ def validate_scenario(s: NetworkScenario) -> ValidationReport:
     never raises.  Slopes, free-flow times, ``demand`` and ``tau`` must be
     positive and finite.  ``tau`` must lie in ``tau_bounds(s)``, the upper
     bound loosened by ``EPS * demand`` but kept below ``demand`` (at steep
-    incident slopes the slack would reach it); the lower bound is exact,
-    because below it the two fraction thresholds invert and no design is
-    consistent.
+    incident slopes the slack would reach it).  The lower bound has no slack,
+    as below it the fraction thresholds invert, but it is the rounded float of
+    ``tau_bounds``: a ``tau`` just below the exact bound can pass.
     """
     # Accept the valid case at once; _field_report only builds the messages.
     if (

@@ -687,9 +687,19 @@ class TestLazyOracleImport:
         assert all(hasattr(routegame, name) for name in ALL_NAMES)
 
 
+def test_cli_lists_only_names_used_outside_it():
+    # the console script runs main; the benchmark uses the rest
+    assert cli.__all__ == [
+        "AXIS_FIELDS", "OUTPUT_COLUMNS", "OUTPUT_GROUPS", "SweepRequest", "main", "run_sweep",
+    ]
+    assert not set(cli.__all__) & set(routegame.__all__)
+
+
 # A class or function listed in a module's __all__ is defined there, so each
 # public name, error types included, has one home.
-@pytest.mark.parametrize("module", [model, equilibrium, design, oracle], ids=lambda m: m.__name__)
+@pytest.mark.parametrize(
+    "module", [model, equilibrium, design, oracle, cli], ids=lambda m: m.__name__
+)
 def test_public_names_are_defined_where_listed(module):
     for name in module.__all__:
         obj = getattr(module, name)
@@ -750,26 +760,19 @@ class TestUsageErrors:
 
 
 class TestParserReuse:
-    """``main`` builds its parser once per process; ``build_parser`` builds a new one."""
+    """``main`` builds its parser once per process."""
 
     @pytest.fixture
-    def built(self, monkeypatch):
-        calls, build_parser = [], cli.build_parser
-
-        def counting():
-            calls.append(None)
-            return build_parser()
-
+    def built(self):
+        # cache_clear also resets the counts, so misses counts the builds since here
         cli._parser.cache_clear()
-        monkeypatch.setattr(cli, "build_parser", counting)
-        yield calls
+        yield lambda: cli._parser.cache_info().misses
         cli._parser.cache_clear()
 
     def test_main_builds_the_parser_once(self, built, capsys):
         assert cli.main(["validate", str(DEMO_CONFIG)]) == 0
         assert cli.main(["design", str(DEMO_CONFIG)]) == 0
-        assert len(built) == 1
-        assert cli.build_parser() is not cli.build_parser()
+        assert built() == 1
 
     def test_usage_error_leaves_the_next_call_unchanged(self, built, capsys):
         def sweep(axis="p", start="0"):
@@ -792,7 +795,7 @@ class TestParserReuse:
         assert capsys.readouterr().err.startswith("usage error:")
         assert cli.main(sweep()) == 0
         assert capsys.readouterr().out == first
-        assert len(built) == 1
+        assert built() == 1
 
     def test_import_builds_no_parser(self):
         code = "import routegame.cli as c; print(c._parser.cache_info().currsize)"

@@ -24,10 +24,10 @@ from routegame.model import SCENARIO_FIELDS
 
 GOLDEN_TEXT = DEMO_CONFIG.read_text()
 
-# Edge values for the validity fast paths of validate_scenario and
-# InformationStructure, and the sha256 of what each edge case gave before
-# those fast paths existed: the report of every scenario case, and the
-# stored pair or the error text of every structure case.
+# Edge values for the fast path of validate_scenario and the field checks of
+# InformationStructure, and the sha256 of what each edge case gave before any
+# fast path existed: the report of every scenario case, and the stored pair
+# or the error text of every structure case.
 FIELD_EDGES = (math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1.0)
 PI_EDGES = (
     0.0, -0.0, 1.0, 5e-324, 0.3, 0.7, -EPS, 1.0 + EPS, -0.5 * EPS, 1.0 + 0.5 * EPS,
@@ -227,6 +227,16 @@ class TestNetworkScenarioRecord:
     def test_repr_is_unchanged(self, ex1):
         assert repr(ex1) == GOLDEN_REPR
 
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    def test_to_dict_is_a_new_dict(self, ex1, exact):
+        s = exact_scenario(ex1) if exact else ex1
+        record, before = s.to_dict(), (hash(s), repr(s))
+        assert record == dataclasses.asdict(s) and record is not s.to_dict()
+        record["tau"], record["mu"] = 2.0, 1.0
+        del record["p"]
+        assert (hash(s), repr(s)) == before
+        assert (s.tau, s.p) == (2.5, 0.3) and s.to_dict() == dataclasses.asdict(s)
+
     def test_positional_and_keyword_construction_agree(self, ex1):
         values = list(ex1.to_dict().values())
         assert NetworkScenario(*values) == ex1
@@ -316,7 +326,7 @@ def test_validation_fast_path_agrees_with_field_checks():
     assert _sha256(records) == EDGE_REPORTS_DIGEST
 
 
-def test_structure_fast_path_agrees_with_field_checks():
+def test_structure_field_checks_are_pinned():
     records, stored = [], 0
     for a, n in edge_structure_cases():
         try:

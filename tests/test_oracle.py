@@ -332,18 +332,42 @@ class TestGridSearchDesign:
             assert float(row["g_value"]) == pytest.approx(g, abs=1e-11)
 
 
-def test_oracle_imports_only_the_standard_library_and_model():
-    # The oracles certify the closed forms, so they share none of their code:
-    # a defect there would otherwise move an answer and its check together.
+def _imports(path: Path) -> list[str]:
+    """The modules a source file of the routegame package imports, anywhere in it."""
     imported = []
-    for node in ast.walk(ast.parse(Path(oracle_mod.__file__).read_text())):
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             module = "routegame." * bool(node.level) + (node.module or "")
             # "from . import x" imports the submodule x.
             imported += [module] if node.module else [module + a.name for a in node.names]
+    return imported
+
+
+def test_oracle_imports_only_the_standard_library_and_model():
+    # The oracles certify the closed forms, so they share none of their code:
+    # a defect there would otherwise move an answer and its check together.
+    imported = _imports(Path(oracle_mod.__file__))
     assert imported
     for name in imported:
         assert not name.startswith(("routegame.equilibrium", "routegame.design")), name
         assert name == "routegame.model" or name.split(".")[0] in sys.stdlib_module_names, name
+
+
+SOURCES = sorted(Path(oracle_mod.__file__).parent.glob("*.py"))
+
+
+# The runtime needs only the standard library (pyproject.toml: dependencies = []).
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_are_standard_library_or_routegame(path):
+    for name in _imports(path):
+        top = name.split(".")[0]
+        assert top == "routegame" or top in sys.stdlib_module_names, name
+
+
+def test_every_source_file_is_checked():
+    assert {p.name for p in SOURCES} >= {
+        "__init__.py", "__main__.py", "cli.py", "design.py", "equilibrium.py", "model.py",
+        "oracle.py",
+    }
