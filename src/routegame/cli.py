@@ -14,6 +14,7 @@ import argparse
 import functools
 import io
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -134,23 +135,28 @@ def _cmd_design(args: argparse.Namespace) -> int:
     return 0
 
 
-def run_sweep(request: SweepRequest) -> tuple[list[str], list[dict[str, object]]]:
+def run_sweep(request: SweepRequest) -> tuple[list[str], list[tuple]]:
     """Evaluate every sweep point; per-point failures land in the error column.
 
-    A point's columns come from the fields that ``optimal_design`` and
-    ``solve_equilibrium`` wrap in records. The baselines' columns are None
-    unless the loss or costs group is requested, and the baselines are solved
-    as the pairs of ``InformationStructure.no_information()`` and
-    ``full_revelation()``. All solves go through one memo, ``solved``.
-    ``_solve`` never reads ``tau``, so a ``tau`` sweep keeps one memo of its
-    outcomes; a point on another axis starts its own.
+    Each row is a tuple aligned with ``columns``. A point's values come from
+    the fields that ``optimal_design`` and ``solve_equilibrium`` wrap in
+    records; an error row holds the axis value and the message, and None in
+    every output column. The baselines' columns are None unless the loss or
+    costs group is requested, and the baselines are the structures
+    ``(pi_a_a, pi_n_n) = (0, 1)`` (no information) and ``(1, 1)`` (full
+    revelation). All solves go through one memo, ``solved``. ``_solve`` never
+    reads ``tau``, so a ``tau`` sweep keeps one memo of its outcomes; a point
+    on another axis starts its own.
     """
     from .design import _design
     from .equilibrium import _solved, _spillover
 
     axis, name = request.axis, AXIS_FIELDS[request.axis]
+    every = [axis, "regime", *(c for cols in OUTPUT_COLUMNS.values() for c in cols), "error"]
     chosen = (c for g, cols in OUTPUT_COLUMNS.items() if g in request.outputs for c in cols)
     columns = [axis, "regime", *chosen, "error"]
+    pick = operator.itemgetter(*map(every.index, columns))
+    blank = (None,) * (len(every) - 2)
     baselines = not request.outputs.isdisjoint(("loss", "costs"))
     values, slot = list(request.scenario.to_dict().values()), SCENARIO_FIELDS.index(name)
     rows = []
@@ -166,44 +172,35 @@ def run_sweep(request: SweepRequest) -> tuple[list[str], list[dict[str, object]]
             if baselines:
                 no_info = _solved(solved, s, 0.0, 1.0)
                 full_info = _solved(solved, s, 1.0, 1.0)
-            rows.append({
-                axis: value, "regime": regime, "pi_a_a": pi_aa, "pi_n_n": 1.0,
-                "f2_n": out[0], "f2_a": out[1], "f1_n": out[2], "f1_a": out[3], "loss": loss,
-                "loss_no_info": no_info and _spillover(s, no_info[0], no_info[1], no_info[6][2]),
-                "loss_full_info": (
-                    full_info and _spillover(s, full_info[0], full_info[1], full_info[6][2])
-                ),
-                "cost_pop1": out[7], "cost_pop2": out[8], "cost_avg": out[9],
-                "cost_avg_no_info": no_info and no_info[9],
-                "cost_avg_full_info": full_info and full_info[9], "error": "",
-            })
+            rows.append(pick((
+                value, regime, pi_aa, 1.0, out[0], out[1], out[2], out[3], loss,
+                no_info and _spillover(s, no_info[0], no_info[1], no_info[6][2]),
+                full_info and _spillover(s, full_info[0], full_info[1], full_info[6][2]),
+                out[7], out[8], out[9], no_info and no_info[9], full_info and full_info[9], "",
+            )))
         except InvalidScenarioError as exc:
-            rows.append({axis: value, "error": "; ".join(exc.report.violations)})
+            rows.append(pick((value, *blank, "; ".join(exc.report.violations))))
         except (DomainError, ArithmeticError) as exc:
-            rows.append({axis: value, "error": str(exc)})
+            rows.append(pick((value, *blank, str(exc))))
     return columns, rows
 
 
-def _write_csv(
-    columns: list[str], rows: list[dict[str, object]], out_path: str | None
-) -> None:
+def _write_csv(columns: list[str], rows: list[tuple], out_path: str | None) -> None:
     """Write a header and one line per sweep row to ``out_path``, or to stdout if None.
 
     An error-free row holds floats, the regime word and an empty error, so one
-    ``%`` template formats it; ``csv.writer`` writes each error row, whose
-    message may need quoting.
+    positional ``%`` template formats it; ``csv.writer`` writes each error row,
+    whose message may need quoting.
     """
     import csv
 
-    template = ",".join(
-        f"%({c})s" if c in ("regime", "error") else f"%({c}).12g" for c in columns
-    ) + "\n"
+    template = ",".join("%s" if c in ("regime", "error") else "%.12g" for c in columns) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        if row["error"]:
-            writer.writerow([_fmt(row.get(c)) for c in columns])
+        if row[-1]:
+            writer.writerow(map(_fmt, row))
         else:
             buf.write(template % row)
     if out_path is None:

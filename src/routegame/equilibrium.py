@@ -16,8 +16,8 @@ from enum import Enum
 from .model import EPS, DomainError, InformationStructure, NetworkScenario, require_valid
 
 __all__ = [
-    "BeliefSystem", "Branch", "EquilibriumOutcome", "VerificationReport", "average_spillover",
-    "posterior_beliefs", "solve_equilibrium", "verify_wardrop",
+    "BeliefSystem", "Branch", "EquilibriumOutcome", "VerificationReport", "posterior_beliefs",
+    "solve_equilibrium", "verify_wardrop",
 ]
 
 
@@ -333,11 +333,6 @@ def verify_wardrop(
                     f"{label}: {route} carries {mass:.6g} at cost gap {gap:.6g}"
                 )
     return VerificationReport(violations=tuple(violations), max_gap=max_gap)
-
-
-def average_spillover(s: NetworkScenario, outcome: EquilibriumOutcome) -> float:
-    """Realized average route-2 flow above the threshold, from an outcome."""
-    return _spillover(s, outcome.f2_given_n, outcome.f2_given_a, outcome.beliefs.pr_a)
 
 
 def _spillover(s: NetworkScenario, f2_n: float, f2_a: float, pr_a: float) -> float:

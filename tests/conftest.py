@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from routegame import NetworkScenario, InformationStructure, p_bar, tau_bounds, validate_scenario
+from routegame.equilibrium import _spillover
 
 # Golden network used throughout: short incident-prone route 1 against a
 # steady route 2, demand 10, incident prior 0.3, threshold 2.5.
@@ -32,6 +33,11 @@ DEMO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "demo_network
 
 def golden_scenario(**overrides) -> NetworkScenario:
     return replace(GOLDEN, **overrides) if overrides else GOLDEN
+
+
+def spillover(s: NetworkScenario, outcome) -> float:
+    """Realized average route-2 flow above the threshold of an ``EquilibriumOutcome``."""
+    return _spillover(s, outcome.f2_given_n, outcome.f2_given_a, outcome.beliefs.pr_a)
 
 
 class Exact(Fraction):

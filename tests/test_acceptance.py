@@ -13,12 +13,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import Exact, exact_scenario, random_scenario, random_structure
+from conftest import Exact, exact_scenario, random_scenario, random_structure, spillover
 from routegame import (
     GridSpec,
     InformationStructure,
     Regime,
-    average_spillover,
     best_response_equilibrium,
     grid_search_design,
     lambda_thresholds,
@@ -96,8 +95,8 @@ def test_golden_values_are_exact(ex1):
         p_bar(s),
         *lambda_thresholds(s),
         optimal_design(exact_scenario(s, lambda_=Fraction(3, 5))).loss,
-        average_spillover(full, solve_equilibrium(full, InformationStructure.full_revelation())),
-        average_spillover(s, solve_equilibrium(s, InformationStructure.no_information())),
+        spillover(full, solve_equilibrium(full, InformationStructure.full_revelation())),
+        spillover(s, solve_equilibrium(s, InformationStructure.no_information())),
     )
     assert all(isinstance(v, Fraction) for v in got), got
     assert got == tuple(map(Fraction, ("1/6", "2/15", "1/4", "2/5", "3/4", "5/9")))

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -14,11 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import DEMO_CONFIG, golden_scenario, random_scenario
+from conftest import DEMO_CONFIG, golden_scenario, random_scenario, spillover
 import routegame
 from routegame import cli, design, equilibrium, model, oracle
 from routegame import optimal_design, solve_equilibrium, tau_bounds, InformationStructure
-from routegame import average_spillover, posterior_beliefs, verify_wardrop
+from routegame import posterior_beliefs, verify_wardrop
 
 CONFIG_TEXT = DEMO_CONFIG.read_text()
 # Child processes import the routegame this process imported, so the CLI
@@ -299,7 +300,8 @@ class TestSweepCommand:
                 scenario=golden_scenario(), axis=axis, start=start, stop=1.0, count=count,
                 outputs=frozenset(cli.OUTPUT_GROUPS),
             )
-            return cli.run_sweep(request)[1]
+            columns, rows = cli.run_sweep(request)
+            return [dict(zip(columns, row)) for row in rows]
 
         at_stop = sweep(1.0, 1)[-1]
         assert at_stop["error"] == ""
@@ -485,12 +487,54 @@ class TestSweepCommand:
         writer.writerow(columns)
         for row in rows:
             writer.writerow(
-                "" if v is None else v if isinstance(v, str) else f"{v:.12g}"
-                for v in map(row.get, columns)
+                "" if v is None else v if isinstance(v, str) else f"{v:.12g}" for v in row
             )
         assert out.read_bytes() == expected.getvalue().encode()
         errors = [row["error"] for row in csv.DictReader(io.StringIO(out.read_text()))]
         assert errors == [message if i % 3 == 1 else "" for i in range(11)]
+
+    def test_rows_are_tuples_aligned_with_columns(self):
+        # the demo tau sweep over [1, 5] starts with refused points
+        request = cli.SweepRequest(
+            scenario=golden_scenario(), axis="tau", start=1.0, stop=5.0, count=101,
+            outputs=frozenset(cli.OUTPUT_GROUPS),
+        )
+        columns, rows = cli.run_sweep(request)
+        outputs = [c for group in cli.OUTPUT_COLUMNS.values() for c in group]
+        assert columns == ["tau", "regime", *outputs, "error"]
+        errors = 0
+        for value, row in zip(request.axis_values(), rows, strict=True):
+            assert type(row) is tuple and len(row) == len(columns)
+            assert row[0] == value
+            if row[-1]:
+                assert row[1:-1] == (None,) * (len(columns) - 2)
+                errors += 1
+            else:
+                assert None not in row
+        assert 0 < errors < len(rows)
+
+    def test_output_groups_project_the_full_csv(self, tmp_path):
+        # every non-empty subset of the groups, on a sweep with error rows,
+        # writes the columns of the all-groups CSV that the subset names
+        argv = ["sweep", str(DEMO_CONFIG), "--axis", "tau", "--start", "1", "--stop", "5",
+                "--count", "101", "--out", str(tmp_path / "all.csv")]
+        assert cli.main(argv) == 0
+        header, *lines = csv.reader(io.StringIO((tmp_path / "all.csv").read_text()))
+        assert any(line[-1] for line in lines)
+        subsets = [
+            groups for n in range(1, len(cli.OUTPUT_GROUPS) + 1)
+            for groups in itertools.combinations(cli.OUTPUT_GROUPS, n)
+        ]
+        assert len(subsets) == 15
+        for groups in subsets:
+            out = tmp_path / f"{'-'.join(groups)}.csv"
+            assert cli.main([*argv[:-1], str(out), "--outputs", *groups]) == 0
+            keep = ["tau", "regime", *(c for g in groups for c in cli.OUTPUT_COLUMNS[g]), "error"]
+            expected = io.StringIO()
+            csv.writer(expected, lineterminator="\n").writerows(
+                [line[header.index(c)] for c in keep] for line in [header, *lines]
+            )
+            assert out.read_text() == expected.getvalue(), groups
 
     def test_rows_match_public_api(self):
         # seeded scenarios, demand x1 to x1e4, each axis swept a little past
@@ -512,6 +556,7 @@ class TestSweepCommand:
             )
             columns, rows = cli.run_sweep(request)
             for value, row in zip(request.axis_values(), rows):
+                row = dict(zip(columns, row))
                 point = replace(s, **{cli.AXIS_FIELDS[axis]: value})
                 try:
                     solution = optimal_design(point)
@@ -529,7 +574,7 @@ class TestSweepCommand:
                      "f1_a": solution.outcome.f1_given_a, "error": ""},
                 )
                 for k, out in outcomes.items():
-                    expected[f"loss_{k}"] = average_spillover(point, out)
+                    expected[f"loss_{k}"] = spillover(point, out)
                     expected[f"cost_avg_{k}"] = out.cost_avg
                 assert {c: repr(row[c]) for c in columns} == {
                     c: repr(expected[c]) for c in columns
@@ -591,8 +636,8 @@ ALL_NAMES = [
     "EPS", "DomainError", "InformationStructure", "InvalidScenarioError", "NetworkScenario",
     "ScenarioParseError", "ValidationReport", "load_scenario", "parse_scenario", "tau_bounds",
     "validate_scenario",
-    "BeliefSystem", "Branch", "EquilibriumOutcome", "VerificationReport", "average_spillover",
-    "posterior_beliefs", "solve_equilibrium", "verify_wardrop",
+    "BeliefSystem", "Branch", "EquilibriumOutcome", "VerificationReport", "posterior_beliefs",
+    "solve_equilibrium", "verify_wardrop",
     "DesignSolution", "Regime", "RegimeError", "Thresholds", "lambda_thresholds",
     "optimal_design", "p_bar",
     "ConvergenceError", "GridSpec", "best_response_equilibrium", "grid_search_design",

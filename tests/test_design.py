@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import golden_scenario, random_scenario
+from conftest import golden_scenario, random_scenario, spillover
 from routegame import (
     EPS,
     InformationStructure,
@@ -11,7 +11,6 @@ from routegame import (
     NetworkScenario,
     Regime,
     RegimeError,
-    average_spillover,
     lambda_thresholds,
     optimal_design,
     p_bar,
@@ -255,7 +254,7 @@ class TestOptimalDesign:
         for _ in range(40):
             s = random_scenario(rng)
             sol = optimal_design(s)
-            assert sol.loss == pytest.approx(average_spillover(s, sol.outcome), abs=1e-9)
+            assert sol.loss == pytest.approx(spillover(s, sol.outcome), abs=1e-9)
 
     @pytest.mark.parametrize("k", [1e6, 3e6])
     @pytest.mark.parametrize("lam", [0.05, 0.2, 0.5])
@@ -269,7 +268,7 @@ class TestOptimalDesign:
         )
         sol, base = optimal_design(s), optimal_design(g)
         assert sol.regime is base.regime
-        assert sol.loss == pytest.approx(average_spillover(s, sol.outcome), rel=1e-12)
+        assert sol.loss == pytest.approx(spillover(s, sol.outcome), rel=1e-12)
         assert sol.loss == pytest.approx(k * base.loss, rel=1e-9)
 
     def test_nominal_signal_truthful_in_persuasion_regimes(self):
@@ -357,7 +356,7 @@ class TestOptimalityAgainstDenseGrid:
             for pi_nn in np.linspace(max(0.0, 1.0 - pi_aa), 1.0, 41):
                 pi = InformationStructure(float(pi_aa), float(pi_nn))
                 out = solve_equilibrium(s, pi)
-                best = min(best, average_spillover(s, out))
+                best = min(best, spillover(s, out))
         assert best >= closed - 1e-6
 
 

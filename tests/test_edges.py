@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import random_scenario
+from conftest import random_scenario, spillover
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_edge_structures import EDGE_STRUCTURES
@@ -27,7 +27,6 @@ from routegame import (
     NetworkScenario,
     Regime,
     RegimeError,
-    average_spillover,
     best_response_equilibrium,
     grid_search_design,
     lambda_thresholds,
@@ -106,7 +105,7 @@ def test_edge_scenarios_solve_within_baselines(s):
     report = verify_wardrop(s, sol.pi_star, (sol.outcome.f2_given_n, sol.outcome.f2_given_a))
     assert report.ok, report.violations
     baselines = (
-        average_spillover(s, solve_equilibrium(s, pi))
+        spillover(s, solve_equilibrium(s, pi))
         for pi in (InformationStructure.no_information(), InformationStructure.full_revelation())
     )
     slack = EPS * s.demand
@@ -134,7 +133,7 @@ def test_certain_incident_just_below_upper_tau_bound_solves(ulps):
             sol = optimal_design(point)
             flows = (sol.outcome.f2_given_n, sol.outcome.f2_given_a)
             assert verify_wardrop(point, sol.pi_star, flows).ok
-            baselines = [average_spillover(point, solve_equilibrium(point, pi)) for pi in structures]
+            baselines = [spillover(point, solve_equilibrium(point, pi)) for pi in structures]
             slack = EPS * point.demand
             assert -slack <= sol.loss <= min(baselines) + slack
             if sol.regime is Regime.NO_PERSUASION:

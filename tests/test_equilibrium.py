@@ -14,7 +14,6 @@ from routegame import (
     GridSpec,
     InformationStructure,
     InvalidScenarioError,
-    average_spillover,
     best_response_equilibrium,
     optimal_design,
     posterior_beliefs,
@@ -41,9 +40,9 @@ BELIEF_EDGES = (
 )
 BELIEF_RECORDS_DIGEST = "d01615f2ba0cda1d19b8db1731c8311a72e2ae1bec7e2c417b8504748f61170b"
 
-# sha256 of what _checked_flow, _decompose and average_spillover gave on
+# sha256 of what _checked_flow, _decompose and _spillover gave on
 # clip_edge_cases before their builtin min() and max() calls were replaced
-# by comparisons.
+# by comparisons (the spillover was then called through an outcome record).
 CLIP_RECORDS_DIGEST = "cc9d71f6d7186e5c8b7b99565a08bc879eddfc5338ed6c1edf17fc0e838e960f"
 
 
@@ -384,7 +383,6 @@ def test_clips_keep_builtin_min_max_results():
     # NaN, signed zeros and ties come out as builtin min() and max() gave them
     records = []
     for s, values in clip_edge_cases():
-        out = solve_equilibrium(s, InformationStructure(0.6, 0.9))
         spill_values = values + [math.nextafter(s.tau, -math.inf), s.tau,
                                  math.nextafter(s.tau, math.inf)]
         for f in values:
@@ -392,11 +390,9 @@ def test_clips_keep_builtin_min_max_results():
             for f2_a in values:
                 records.append(_call(equilibrium._decompose, s, f, f2_a))
         for pr_a in (0.0, 0.3, 1.0):
-            beliefs = BeliefSystem(s.p, s.p, pr_a)
             for f2_n in spill_values:
                 for f2_a in spill_values:
-                    o = replace(out, f2_given_n=f2_n, f2_given_a=f2_a, beliefs=beliefs)
-                    records.append(_call(average_spillover, s, o))
+                    records.append(_call(equilibrium._spillover, s, f2_n, f2_a, pr_a))
     assert _sha256(records) == CLIP_RECORDS_DIGEST
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import golden_scenario, random_scenario, random_structure
+from conftest import golden_scenario, random_scenario, random_structure, spillover
 from routegame import (
     EPS,
     ConvergenceError,
@@ -19,7 +19,6 @@ from routegame import (
     InformationStructure,
     InvalidScenarioError,
     NetworkScenario,
-    average_spillover,
     best_response_equilibrium,
     grid_search_design,
     optimal_design,
@@ -296,7 +295,7 @@ class TestGridSearchDesign:
         pinned = InformationStructure(0.675, 1.0)
         assert (best_pi, best_loss) == (pinned, 0.40359375)
         # the loss of the exact equilibrium at that cell, to the last bit
-        assert best_loss == average_spillover(ex1, solve_equilibrium(ex1, pinned))
+        assert best_loss == spillover(ex1, solve_equilibrium(ex1, pinned))
         assert hashlib.sha256(trace.read_bytes()).hexdigest() == (
             "4dfb617036bee5e39601bc1dc69423af87b3c21adee43f3aadc03f2d0bb47e13"
         )
