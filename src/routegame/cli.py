@@ -85,30 +85,28 @@ def _fmt(value: object) -> str:
 
 
 def _round_floats(value: object) -> object:
-    """Clamp floats to 12 significant digits so JSON matches the CSV."""
+    """Clamp floats to 12 significant digits so JSON matches the CSV. No JSON
+    document holds a float inside a list, so only dicts are descended."""
     if isinstance(value, float):
         return float(f"{value:.12g}")
     if isinstance(value, dict):
         return {k: _round_floats(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_round_floats(v) for v in value]
     return value
 
 
-def _print_json(record: dict[str, object]) -> None:
+def _json(value: object) -> str:
     import json
 
-    print(json.dumps(_round_floats(record), indent=2))
+    return json.dumps(_round_floats(value), indent=2) + "\n"
 
 
 def _emit(record: dict[str, object], fmt: str) -> None:
+    """Print ``record`` as JSON, or as a CSV header and one row. No field needs
+    quoting: keys are identifiers and values ``_fmt`` numbers, words or empty."""
     if fmt == "csv":
-        import csv
-
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerows([list(record), map(_fmt, record.values())])
+        sys.stdout.write(",".join(record) + "\n" + ",".join(map(_fmt, record.values())) + "\n")
     else:
-        _print_json(record)
+        sys.stdout.write(_json(record))
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -170,8 +168,8 @@ def run_sweep(request: SweepRequest) -> tuple[list[str], list[tuple]]:
             regime, pi_aa, out, loss, _ = _design(s, solved)
             no_info = full_info = None
             if baselines:
-                no_info = _solved(solved, s, 0.0, 1.0)
-                full_info = _solved(solved, s, 1.0, 1.0)
+                no_info = _solved(solved, s, 0.0)
+                full_info = _solved(solved, s, 1.0)
             rows.append(pick((
                 value, regime, pi_aa, 1.0, out[0], out[1], out[2], out[3], loss,
                 no_info and _spillover(s, no_info[0], no_info[1], no_info[6][2]),
@@ -210,8 +208,6 @@ def _write_csv(columns: list[str], rows: list[tuple], out_path: str | None) -> N
 
 
 def _write_sidecar(request: SweepRequest, out_path: str) -> None:
-    import json
-
     meta = {
         "tool": f"routegame {__version__}",
         "scenario": request.scenario.to_dict(),
@@ -223,7 +219,7 @@ def _write_sidecar(request: SweepRequest, out_path: str) -> None:
             "outputs": sorted(request.outputs),
         },
     }
-    Path(out_path + ".meta.json").write_text(json.dumps(_round_floats(meta), indent=2) + "\n")
+    Path(out_path + ".meta.json").write_text(_json(meta))
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -261,7 +257,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         "closed_form_loss": solution.loss,
         "closed_form_gap": best_loss - solution.loss,
     }
-    _print_json(record)
+    _emit(record, "json")
     return 0
 
 

@@ -200,7 +200,7 @@ def _design(s: NetworkScenario, solved: dict) -> tuple:
     if 1.0 < pi_aa:
         pi_aa = 1.0
 
-    outcome = _solved(solved, s, pi_aa, 1.0)
+    outcome = _solved(solved, s, pi_aa)
     realized = _spillover(s, outcome[0], outcome[1], outcome[6][2])
     # The loss is exact at the optimal pi_aa and the spillover is realized at the
     # float pi_aa, so the check also allows what _PI_AA_ULPS ulps of pi_aa move it.

@@ -212,15 +212,14 @@ def _solve(s: NetworkScenario, pi_aa: float, pi_nn: float) -> tuple:
     )
 
 
-def _solved(solved: dict, s: NetworkScenario, pi_aa: float, pi_nn: float) -> tuple:
-    """``_solve(s, pi_aa, pi_nn)`` memoized in ``solved`` by the probability pair,
-    the field pair of an :class:`InformationStructure`, which builds no record and
-    hashes without a Python-level call.  ``_solve`` never reads ``tau``, so
-    ``solved`` may hold scenarios differing from ``s`` in it alone."""
-    key = (pi_aa, pi_nn)
-    outcome = solved.get(key)
+def _solved(solved: dict, s: NetworkScenario, pi_aa: float) -> tuple:
+    """``_solve(s, pi_aa, 1.0)`` memoized in ``solved`` by ``pi_aa``: each caller's
+    structure reveals the nominal state, and float keys match and hash alike exactly
+    when the pairs ``(pi_aa, 1.0)`` would, ``-0.0`` included.  ``_solve`` never reads
+    ``tau``, so ``solved`` may hold scenarios differing from ``s`` in it alone."""
+    outcome = solved.get(pi_aa)
     if outcome is None:
-        outcome = solved[key] = _solve(s, pi_aa, pi_nn)
+        outcome = solved[pi_aa] = _solve(s, pi_aa, 1.0)
     return outcome
 
 

@@ -212,6 +212,17 @@ class TestDesignCommand:
         assert cli.main([argv[0], str(DEMO_CONFIG), *argv[1:], "--format", "csv"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
+    def test_no_persuasion_csv_is_byte_pinned(self, tmp_path, capsys):
+        # the demo config at p = 0.1, where lambda_low and lambda_high are empty fields
+        path = tmp_path / "lowp.cfg"
+        path.write_text(CONFIG_TEXT.replace("p = 0.3", "p = 0.1"))
+        assert cli.main(["design", str(path), "--format", "csv"]) == 0
+        out = capsys.readouterr().out
+        assert ",,," in out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "606547c0f48b4b3d39db7ec24a191e30c68661b8d6a36df80a47f8eefb5d243a"
+        )
+
 
 class TestSweepCommand:
     def test_signal_policy_series(self, config, tmp_path):
@@ -330,6 +341,19 @@ class TestSweepCommand:
                 scenario=golden_scenario(), axis="lambda", start=0.0, stop=1.0, count=count,
                 outputs=frozenset(cli.OUTPUT_GROUPS),
             )
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [("axis", "demand", "demand"), ("outputs", frozenset({"pi_star", "regret"}), "regret")],
+    )
+    def test_unknown_axis_or_output_rejected(self, field, value, named):
+        # argparse choices stop the CLI first, so only library callers reach these
+        request = dict(
+            scenario=golden_scenario(), axis="lambda", start=0.0, stop=1.0, count=3,
+            outputs=frozenset(cli.OUTPUT_GROUPS),
+        )
+        with pytest.raises(model.DomainError, match=f"unknown .*'{named}'"):
+            cli.SweepRequest(**{**request, field: value})
 
     def test_numpy_integer_count_accepted(self):
         requests = [
@@ -590,6 +614,18 @@ class TestSweepCommand:
         assert result.returncode == 0
         assert result.stdout.splitlines()[0].startswith("lambda,")
 
+    def test_stdout_matches_out_file(self, tmp_path, capsys):
+        # the demo tau sweep over [1, 5] starts with error rows
+        argv = ["sweep", str(DEMO_CONFIG), "--axis", "tau", "--start", "1", "--stop", "5",
+                "--count", "101"]
+        assert cli.main(argv) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / "tau.csv"
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert stdout.splitlines()[1].endswith("tau below admissible range: tau=1.0 < 1.66666666667")
+        assert stdout == out.read_text()
+
 
 class TestOracleCommand:
     def test_reports_gap_to_closed_form(self, config):
@@ -689,10 +725,12 @@ class TestLazyOracleImport:
             (("-m", "routegame", "equilibrium", "{cfg}", "--pi-aa", "1", "--pi-nn", "1"),
              {"routegame.design", "routegame.oracle"}),
             (("-m", "routegame", "design", "{cfg}"), {"routegame.oracle"}),
+            (("-m", "routegame", "design", "{cfg}", "--format", "csv"),
+             {"routegame.oracle", "json", "csv"}),
             (("-m", "routegame", "sweep", "{cfg}", "--axis", "lambda", "--start", "0",
               "--stop", "1", "--count", "3"), {"routegame.oracle"}),
         ],
-        ids=["import", "validate", "equilibrium", "design", "sweep"],
+        ids=["import", "validate", "equilibrium", "design", "design-csv", "sweep"],
     )
     def test_command_loads_only_what_it_runs(self, config, tmp_path, args, absent):
         assert not self.imported_modules(args, config, tmp_path) & absent
