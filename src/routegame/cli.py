@@ -22,7 +22,7 @@ from pathlib import Path
 from . import __version__
 from .model import (
     SCENARIO_FIELDS, DomainError, InformationStructure, InvalidScenarioError, NetworkScenario,
-    ScenarioParseError, load_scenario, validate_scenario,
+    ScenarioParseError, load_scenario, require_valid, validate_scenario,
 )
 
 __all__ = ["AXIS_FIELDS", "OUTPUT_COLUMNS", "OUTPUT_GROUPS", "SweepRequest", "main", "run_sweep"]
@@ -145,6 +145,13 @@ def run_sweep(request: SweepRequest) -> tuple[list[str], list[tuple]]:
     revelation). All solves go through one memo, ``solved``. ``_solve`` never
     reads ``tau``, so a ``tau`` sweep keeps one memo of its outcomes; a point
     on another axis starts its own.
+
+    The request is validated once. Each clause of ``validate_scenario`` that
+    reads the axis field bounds it by the other fields (``p`` and ``lambda_``
+    by [0, 1], ``tau`` by ``(0, demand)`` and ``tau_bounds``, which never
+    reads ``tau``), so the valid values of one axis form an interval. When the
+    smallest and the largest axis values validate, so does every point; else
+    each point is validated and a failed report goes to its error column.
     """
     from .design import _design
     from .equilibrium import _solved, _spillover
@@ -157,14 +164,21 @@ def run_sweep(request: SweepRequest) -> tuple[list[str], list[tuple]]:
     blank = (None,) * (len(every) - 2)
     baselines = not request.outputs.isdisjoint(("loss", "costs"))
     values, slot = list(request.scenario.to_dict().values()), SCENARIO_FIELDS.index(name)
+    points = request.axis_values()
+    check_each = False
+    for value in (min(points), max(points)):
+        values[slot] = value
+        check_each = check_each or not validate_scenario(NetworkScenario(*values)).ok
     rows = []
     solved: dict = {}
-    for value in request.axis_values():
+    for value in points:
         values[slot] = value
         if name != "tau":
             solved = {}
         try:
             s = NetworkScenario(*values)
+            if check_each:
+                require_valid(s)
             regime, pi_aa, out, loss, _ = _design(s, solved)
             no_info = full_info = None
             if baselines:

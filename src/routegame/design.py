@@ -177,10 +177,12 @@ def _gap_lambda_low(s: NetworkScenario, lam_high: float) -> float:
 def optimal_design(s: NetworkScenario) -> DesignSolution:
     """Solve the planner's problem in closed form.
 
-    The returned solution carries the equilibrium induced by the optimal
-    structure at the scenario's informed fraction; the closed-form loss is
-    cross-checked against the spillover recomputed from those flows.
+    The scenario is validated here, once. The returned solution carries the
+    equilibrium induced by the optimal structure at the scenario's informed
+    fraction; the closed-form loss is cross-checked against the spillover
+    recomputed from those flows.
     """
+    require_valid(s)
     word, pi_aa, outcome, loss, thresholds = _design(s, {})
     pi_star = InformationStructure(pi_aa, 1.0)
     return DesignSolution(Regime(word), pi_star, _outcome(outcome), loss, Thresholds(*thresholds))
@@ -189,8 +191,9 @@ def optimal_design(s: NetworkScenario) -> DesignSolution:
 def _design(s: NetworkScenario, solved: dict) -> tuple:
     """:func:`optimal_design` with the regime as its word, the optimum
     ``InformationStructure(pi_aa, 1.0)`` as its ``pi_aa`` and the outcome and thresholds
-    as field tuples, the optimum solved through the memo ``solved`` (see ``_solved``)."""
-    require_valid(s)
+    as field tuples, the optimum solved through the memo ``solved`` (see ``_solved``).
+    It does not validate ``s``: the caller has, as ``optimal_design`` and
+    ``cli.run_sweep`` do."""
     regime, pi_aa, loss, thresholds = _closed_form(s)
     if not -EPS <= pi_aa <= 1.0 + EPS:
         raise ArithmeticError(f"derived signal probability outside [0, 1]: {pi_aa!r}")

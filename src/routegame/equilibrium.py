@@ -168,7 +168,8 @@ def solve_equilibrium(s: NetworkScenario, pi: InformationStructure) -> Equilibri
 
 def _outcome(fields: tuple) -> EquilibriumOutcome:
     """The :class:`EquilibriumOutcome` of a field tuple from :func:`_solve`."""
-    f2_n, f2_a, f1_n, f1_a, branch, g, beliefs, cost1, cost2, cost_avg = fields
+    f2_n, f2_a, f1_n, f1_a, switch, g, beliefs, cost1, cost2, cost_avg = fields
+    branch = Branch.INFORMED_SWITCH_ALL if switch else Branch.BOTH_SPLIT
     return EquilibriumOutcome(
         f2_n, f2_a, f1_n, f1_a, branch, g, BeliefSystem(*beliefs), cost1, cost2, cost_avg
     )
@@ -177,7 +178,9 @@ def _outcome(fields: tuple) -> EquilibriumOutcome:
 def _solve(s: NetworkScenario, pi_aa: float, pi_nn: float) -> tuple:
     """The :class:`EquilibriumOutcome` fields, in order, of :func:`solve_equilibrium`
     for the structure ``(pi_aa, pi_nn)`` and a scenario the caller has validated;
-    the beliefs field is the tuple of :func:`_posteriors`."""
+    the branch field is the bool ``g >= lambda_`` (True for
+    :attr:`Branch.INFORMED_SWITCH_ALL`) and the beliefs field is the tuple of
+    :func:`_posteriors`."""
     beliefs = beta_a, beta_n, pr_a = _posteriors(s, pi_aa, pi_nn)
     lam, demand, a2, spread = s.lambda_, s.demand, s.alpha2, s.cost_spread
     m_n, m_a = _slope(s, beta_n), _slope(s, beta_a)
@@ -185,12 +188,11 @@ def _solve(s: NetworkScenario, pi_aa: float, pi_nn: float) -> tuple:
     # Partition value, the split-branch flow gap over D; g >= lambda_ selects the switch branch.
     g = spread / (d_n * demand) - spread / (d_a * demand)
 
-    if g >= lam:
-        branch = Branch.INFORMED_SWITCH_ALL
+    switch = g >= lam
+    if switch:
         f2_n = demand - (spread + lam * demand * pr_a * d_a) / (_slope(s, s.p) + a2)
         f2_a = f2_n + lam * demand
     else:
-        branch = Branch.BOTH_SPLIT
         f2_n = demand - spread / d_n
         f2_a = demand - spread / d_a
     f2_n = _checked_flow(f2_n, demand)
@@ -207,7 +209,7 @@ def _solve(s: NetworkScenario, pi_aa: float, pi_nn: float) -> tuple:
     cost1 = total1 / pop1 if lam != 0.0 else total2 / pop2
     cost2 = total2 / pop2 if lam != 1.0 else cost1
     return (
-        f2_n, f2_a, demand - f2_n, demand - f2_a, branch, g, beliefs,
+        f2_n, f2_a, demand - f2_n, demand - f2_a, switch, g, beliefs,
         cost1, cost2, lam * cost1 + (1.0 - lam) * cost2,
     )
 

@@ -14,8 +14,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DEMO_CONFIG, golden_scenario, random_scenario, spillover
+from test_edges import edge_scenarios
 import routegame
 from routegame import cli, design, equilibrium, model, oracle
 from routegame import optimal_design, solve_equilibrium, tau_bounds, InformationStructure
@@ -32,7 +35,8 @@ CHILD_ENV["PYTHONPATH"] = os.pathsep.join(
 
 # sha256 of the CSV and of its .meta.json sidecar for a 101-point sweep of the
 # demo config, keyed by (axis, start, stop, output group or None for all
-# groups); the tau range includes invalid points.
+# groups); the tau range includes invalid points at its lower end, and the
+# lambda range over [-0.5, 1.5] at both ends.
 DEMO_SWEEP_DIGESTS = {
     ("lambda", "0", "1", None): (
         "43140c5ba869df3b72f181c4adebc0b62065156a0720e0549a9b9d29db04a6ae",
@@ -61,6 +65,10 @@ DEMO_SWEEP_DIGESTS = {
     ("tau", "1", "5", None): (
         "06bfd191f1a49ccffa159e42709c5beaaf51bba97c28db99d2966ca5b3b54c75",
         "3ae86dd1cd7fcf8a09012b122b06ad2b33cc7c06321d31b65da43f065bd6b578",
+    ),
+    ("lambda", "-0.5", "1.5", None): (
+        "0e3c85adc05155be4eec0d6cb9a60cb65d3d4073e9cbaf7c0c7b5e6ccf9afc29",
+        "0719319b1cb1ea12bdf06da8610d48af9c3262adadb53454e14b5c5de14ddacc",
     ),
 }
 # sha256 over the CSVs of the 201-point sweeps in test_random_sweeps_are_byte_pinned.
@@ -443,14 +451,15 @@ class TestSweepCommand:
         assert cli.main(argv) == 0
         return calls
 
-    def test_one_validation_per_point(self, tmp_path, monkeypatch):
+    def test_one_validation_per_request(self, tmp_path, monkeypatch):
         argv = ["sweep", str(DEMO_CONFIG), "--axis", "lambda", "--start", "0", "--stop", "1",
                 "--count", "101", "--out", str(tmp_path / "sweep.csv")]
         calls = self.count_calls(monkeypatch, argv)
-        # one validation per point; one Bayes update per distinct structure
-        # among the optimum and the two baselines: the 14 points whose optimum
-        # is no information or full information solve two structures, not three
-        assert calls == {"validate_scenario": 101, "_posteriors": 289}
+        # one validation at each end of the axis, which vouch for the points
+        # between; one Bayes update per distinct structure among the optimum
+        # and the two baselines: the 14 points whose optimum is no information
+        # or full information solve two structures, not three
+        assert calls == {"validate_scenario": 2, "_posteriors": 289}
 
     def test_p_sweep_solves_each_point_apart(self, tmp_path, monkeypatch):
         argv = ["sweep", str(DEMO_CONFIG), "--axis", "p", "--start", "0", "--stop", "0.999",
@@ -458,7 +467,7 @@ class TestSweepCommand:
         calls = self.count_calls(monkeypatch, argv)
         # the equilibrium depends on p, so no solve is shared between points;
         # within a point each distinct structure is solved once
-        assert calls == {"validate_scenario": 101, "_posteriors": 236}
+        assert calls == {"validate_scenario": 2, "_posteriors": 236}
 
     def test_tau_sweep_solves_each_baseline_once(self, tmp_path, monkeypatch):
         low, high = tau_bounds(golden_scenario())
@@ -469,7 +478,31 @@ class TestSweepCommand:
         # solve of each distinct structure: the two baselines, which are also
         # the optimum of 76 points, and the 25 partial and saturated optima
         # (103 updates when only the baselines were shared, 227 before that)
-        assert calls == {"validate_scenario": 101, "_posteriors": 27}
+        assert calls == {"validate_scenario": 2, "_posteriors": 27}
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        edge_scenarios(fraction_thresholds=False),
+        st.floats(0.0, 0.5), st.floats(0.0, 0.5), st.integers(2, 41),
+    )
+    def test_error_column_is_the_point_report(self, s, below, above, count):
+        # The sweep validates only its two ends when both pass, which holds
+        # because the valid values of one axis form an interval. Each axis is
+        # swept from below its valid range to above it, and exactly across
+        # its float bounds; a row's error is its point's report, which is
+        # empty exactly when the point validates.
+        low, high = tau_bounds(s)
+        ranges = {"lambda": (0.0, 1.0), "p": (0.0, 1.0), "tau": (low, high + model.EPS * s.demand)}
+        for axis, (start, stop) in ranges.items():
+            width = stop - start
+            for lo, hi in ((start - below * width, stop + above * width), (start, stop)):
+                request = cli.SweepRequest(
+                    scenario=s, axis=axis, start=lo, stop=hi, count=count,
+                    outputs=frozenset(cli.OUTPUT_GROUPS),
+                )
+                for row in cli.run_sweep(request)[1]:
+                    point = replace(s, **{cli.AXIS_FIELDS[axis]: row[0]})
+                    assert row[-1] == "; ".join(model.validate_scenario(point).violations)
 
     def test_sweep_points_build_no_records(self, tmp_path, monkeypatch):
         # Only the public functions wrap results in records: a sweep point
